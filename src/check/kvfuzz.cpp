@@ -133,8 +133,8 @@ KvOutcome run_kv_case(const KvCase& fc, std::uint64_t perturb_seed,
       fc.mode == KvMode::Casper ? fc.users_per_node + fc.ghosts
                                 : fc.users_per_node;
   rc.seed = fc.seed;
-  // Sharded engines reject perturb_seed and fault plans (runtime.hpp).
-  rc.perturb_seed = sharded ? 0 : perturb_seed;
+  // Sharded engines reject fault plans (runtime.hpp).
+  rc.perturb_seed = perturb_seed;
   rc.shards = shards;
   if (!sharded && fc.fault_plan.active()) rc.fault = &fc.fault_plan;
   if (fc.mode == KvMode::Thread) {

@@ -96,9 +96,9 @@ struct KvOutcome {
 };
 
 /// Run the case once under schedule `perturb_seed` and `shards` engine
-/// shards. Sharded runs force perturb 0 and skip the (not concurrent_safe)
-/// shadow oracle; the checker rides every run. `op_limit` truncates the
-/// global op list (minimizer support).
+/// shards. Sharded runs skip the (not concurrent_safe) shadow oracle; the
+/// checker rides every run. `op_limit` truncates the global op list
+/// (minimizer support).
 KvOutcome run_kv_case(const KvCase& fc, std::uint64_t perturb_seed,
                       int shards = 1,
                       std::size_t op_limit = ~std::size_t{0});

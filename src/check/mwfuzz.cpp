@@ -185,7 +185,7 @@ MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
       fc.mode == KvMode::Casper ? fc.users_per_node + fc.ghosts
                                 : fc.users_per_node;
   rc.seed = fc.seed;
-  rc.perturb_seed = sharded ? 0 : perturb_seed;
+  rc.perturb_seed = perturb_seed;
   rc.shards = shards;
   if (!sharded && fc.fault_plan.active()) rc.fault = &fc.fault_plan;
   if (fc.mode == KvMode::Thread) {

@@ -76,10 +76,18 @@ std::uint64_t IntervalTree::priority(const Access& a) {
   return h | 1;  // never zero
 }
 
-bool IntervalTree::key_less(int n, std::size_t lo, std::uint64_t prio) const {
+std::uint64_t IntervalTree::tie_key(const Access& a) {
+  // Independent of priority(): ordering equal-lo entries by the heap
+  // priority itself would force each one into its predecessor's left
+  // subtree — a spine as deep as the number of accesses to one word.
+  std::uint64_t h = splitmix64(a.seq ^ 0x5851f42d4c957f2dULL);
+  return splitmix64(h ^ static_cast<std::uint64_t>(a.origin));
+}
+
+bool IntervalTree::key_less(int n, std::size_t lo, std::uint64_t tie) const {
   const Node& nd = nodes_[static_cast<std::size_t>(n)];
   if (nd.a.lo != lo) return nd.a.lo < lo;
-  return nd.prio < prio;
+  return nd.tie < tie;
 }
 
 void IntervalTree::pull(int n) {
@@ -101,14 +109,14 @@ int IntervalTree::insert_node(int t, int n) {
   if (nn.prio > tn.prio) {
     // Rotate n above t: split t's subtree around n's key.
     int l = -1, r = -1;
-    split(t, nn.a.lo, nn.prio, l, r);
+    split(t, nn.a.lo, nn.tie, l, r);
     Node& nd = nodes_[static_cast<std::size_t>(n)];
     nd.l = l;
     nd.r = r;
     pull(n);
     return n;
   }
-  if (key_less(n, tn.a.lo, tn.prio)) {
+  if (key_less(n, tn.a.lo, tn.tie)) {
     tn.l = insert_node(tn.l, n);
   } else {
     tn.r = insert_node(tn.r, n);
@@ -117,18 +125,18 @@ int IntervalTree::insert_node(int t, int n) {
   return t;
 }
 
-void IntervalTree::split(int t, std::size_t lo, std::uint64_t prio, int& l,
+void IntervalTree::split(int t, std::size_t lo, std::uint64_t tie, int& l,
                          int& r) {
   if (t < 0) {
     l = r = -1;
     return;
   }
   Node& tn = nodes_[static_cast<std::size_t>(t)];
-  if (key_less(t, lo, prio)) {
-    split(tn.r, lo, prio, tn.r, r);
+  if (key_less(t, lo, tie)) {
+    split(tn.r, lo, tie, tn.r, r);
     l = t;
   } else {
-    split(tn.l, lo, prio, l, tn.l);
+    split(tn.l, lo, tie, l, tn.l);
     r = t;
   }
   pull(t);
@@ -149,19 +157,19 @@ int IntervalTree::merge_nodes(int a, int b) {
   return b;
 }
 
-int IntervalTree::erase_node(int t, std::size_t lo, std::uint64_t prio) {
+int IntervalTree::erase_node(int t, std::size_t lo, std::uint64_t tie) {
   if (t < 0) return -1;
   Node& tn = nodes_[static_cast<std::size_t>(t)];
-  if (tn.a.lo == lo && tn.prio == prio) {
+  if (tn.a.lo == lo && tn.tie == tie) {
     const int sub = merge_nodes(tn.l, tn.r);
     free_.push_back(t);
     --size_;
     return sub;
   }
-  if (key_less(t, lo, prio)) {
-    tn.r = erase_node(tn.r, lo, prio);
+  if (key_less(t, lo, tie)) {
+    tn.r = erase_node(tn.r, lo, tie);
   } else {
-    tn.l = erase_node(tn.l, lo, prio);
+    tn.l = erase_node(tn.l, lo, tie);
   }
   pull(t);
   return t;
@@ -179,6 +187,7 @@ void IntervalTree::insert(const Access& a) {
   }
   Node& nd = nodes_[static_cast<std::size_t>(n)];
   nd.a = a;
+  nd.tie = tie_key(a);
   nd.prio = priority(a);
   nd.max_hi = a.hi;
   root_ = insert_node(root_, n);
@@ -198,7 +207,7 @@ bool IntervalTree::coalesce(const Access& a) {
   });
   if (hit == nullptr) return false;
   Access merged = *hit;
-  root_ = erase_node(root_, merged.lo, priority(merged));
+  root_ = erase_node(root_, merged.lo, tie_key(merged));
   merged.lo = std::min(merged.lo, a.lo);
   merged.hi = std::max(merged.hi, a.hi);
   merged.seq = std::min(merged.seq, a.seq);
@@ -207,6 +216,12 @@ bool IntervalTree::coalesce(const Access& a) {
   // absorb them too so the stored set is canonical (insertion-order free).
   if (!coalesce(merged)) insert(merged);
   return true;
+}
+
+std::size_t IntervalTree::depth_of(int n) const {
+  if (n < 0) return 0;
+  const Node& nd = nodes_[static_cast<std::size_t>(n)];
+  return 1 + std::max(depth_of(nd.l), depth_of(nd.r));
 }
 
 void IntervalTree::clear() {

@@ -128,9 +128,11 @@ struct Access {
 };
 
 /// Interval tree of accesses over one (window, target-rank) byte space: a
-/// deterministic treap keyed by (lo, priority) and augmented with subtree
-/// max-hi for overlap queries. Priorities are a pure hash of the entry, so
-/// the tree shape depends only on the entry SET, never on insertion order.
+/// deterministic treap keyed by (lo, tie) and heap-ordered by priority,
+/// augmented with subtree max-hi for overlap queries. Tie and priority are
+/// two independent pure hashes of the entry, so the tree shape depends only
+/// on the entry SET, never on insertion order, and stays logarithmic even
+/// when every entry covers the same word.
 class IntervalTree {
  public:
   void insert(const Access& a);
@@ -156,24 +158,29 @@ class IntervalTree {
   }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Nodes on the longest root-to-leaf path (0 when empty).
+  std::size_t depth() const { return depth_of(root_); }
   void clear();
 
  private:
   struct Node {
     Access a;
-    std::uint64_t prio = 0;
+    std::uint64_t tie = 0;   // orders entries with equal lo
+    std::uint64_t prio = 0;  // heap order
     std::size_t max_hi = 0;
     int l = -1;
     int r = -1;
   };
 
   static std::uint64_t priority(const Access& a);
-  bool key_less(int n, std::size_t lo, std::uint64_t prio) const;
+  static std::uint64_t tie_key(const Access& a);
+  bool key_less(int n, std::size_t lo, std::uint64_t tie) const;
   void pull(int n);
   int insert_node(int t, int n);
-  void split(int t, std::size_t lo, std::uint64_t prio, int& l, int& r);
-  int erase_node(int t, std::size_t lo, std::uint64_t prio);
+  void split(int t, std::size_t lo, std::uint64_t tie, int& l, int& r);
+  int erase_node(int t, std::size_t lo, std::uint64_t tie);
   int merge_nodes(int a, int b);
+  std::size_t depth_of(int n) const;
   template <typename F>
   void query_node(int n, std::size_t lo, std::size_t hi, F& f) const {
     if (n < 0) return;

@@ -62,8 +62,9 @@ struct RunConfig {
   std::size_t stack_bytes = 256 * 1024;
   /// Forwarded to sim::Engine::Options::perturb_seed: non-zero explores a
   /// seeded alternative (but reproducible) tie-break order for equal-time
-  /// scheduling decisions. The conformance fuzzer sweeps this to enumerate
-  /// interleavings of one program.
+  /// scheduling decisions, the same one at every shard count. The
+  /// conformance fuzzer sweeps this to enumerate interleavings of one
+  /// program.
   std::uint64_t perturb_seed = 0;
   /// Attach the observability layer (virtual-time trace + metrics; see
   /// src/obs/). Null — the default — keeps every instrumentation site down
@@ -80,10 +81,9 @@ struct RunConfig {
   /// > 1 partition ranks by node across shards synchronized by conservative
   /// lookahead (= the inter-node network latency, the smallest cross-node
   /// delay any event can have); clamped to the node count. Sharded runs
-  /// reject perturb_seed, fault plans, and RmaObservers that are not
-  /// concurrent_safe() (worker threads invoke observer callbacks in
-  /// parallel; only internally synchronized observers such as the race
-  /// analyzer may attach).
+  /// reject fault plans and RmaObservers that are not concurrent_safe()
+  /// (worker threads invoke observer callbacks in parallel; only internally
+  /// synchronized observers such as the race analyzer may attach).
   int shards = 1;
 };
 
@@ -222,10 +222,10 @@ class Runtime {
   /// software operations at the base cost instead of the in-application
   /// drain cost (net::Profile::busy_factor). Called by the Casper layer.
   void set_dedicated_progress(int world_rank, bool dedicated) {
-    dedicated_[static_cast<std::size_t>(world_rank)] = dedicated;
+    dedicated_[static_cast<std::size_t>(world_rank)] = dedicated ? 1 : 0;
   }
   bool dedicated_progress(int world_rank) const {
-    return dedicated_[static_cast<std::size_t>(world_rank)];
+    return dedicated_[static_cast<std::size_t>(world_rank)] != 0;
   }
 
   // ------------------------------------------------------------------------
@@ -458,7 +458,9 @@ class Runtime {
   /// release into this pool on destruction.
   sim::BytePool pool_;
   std::vector<HotStats> hot_;
-  std::vector<bool> dedicated_;
+  /// One byte per rank, not vector<bool>: ghosts on different shards set
+  /// their own flags concurrently, and packed bits would share a word.
+  std::vector<std::uint8_t> dedicated_;
   std::unique_ptr<sim::Engine> engine_;
   std::shared_ptr<Layer> layer_;
   Comm world_;

@@ -89,7 +89,7 @@ Runtime::Runtime(RunConfig cfg, std::function<void(Env&)> user_main,
   cfg_.machine.topo.validate();
   const int n = cfg_.machine.topo.nranks();
   io_.resize(static_cast<std::size_t>(n));
-  dedicated_.assign(static_cast<std::size_t>(n), false);
+  dedicated_.assign(static_cast<std::size_t>(n), 0);
 
   std::vector<int> all(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) all[static_cast<std::size_t>(r)] = r;
@@ -108,9 +108,6 @@ Runtime::Runtime(RunConfig cfg, std::function<void(Env&)> user_main,
   const int nnodes = cfg_.machine.topo.nodes;
   const int nshards = std::clamp(cfg_.shards, 1, nnodes);
   if (nshards > 1) {
-    MMPI_REQUIRE(cfg_.perturb_seed == 0,
-                 "sharded runs explore one schedule; perturb_seed requires "
-                 "shards == 1");
     MMPI_REQUIRE(cfg_.fault == nullptr || !cfg_.fault->active(),
                  "fault injection requires shards == 1");
     const int cpn = cfg_.machine.topo.cores_per_node;

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -12,8 +13,8 @@ namespace {
 // share the one OS thread driving that shard, so a plain thread_local is
 // both correct and nesting-safe (saved/restored around each handoff).
 thread_local Context* g_current_ctx = nullptr;
-// Shard id of the scheduler running on this thread. 0 outside run() and in
-// single-shard mode; shard_main() sets it for the lifetime of a worker.
+// Shard id of the scheduler running on this thread. 0 outside run();
+// shard_main() sets it while it drives a shard.
 thread_local int g_shard_id = 0;
 }  // namespace
 
@@ -40,39 +41,26 @@ Engine::Engine(Options opts, RankMain main)
     ranks_.push_back(std::make_unique<RankState>(this, r));
     ranks_.back()->rng = Rng(opts_.seed, static_cast<std::uint64_t>(r));
   }
-  // Stream id well clear of the rank id space so perturbation salts never
-  // correlate with any rank's own random stream.
-  perturb_rng_ = Rng(opts_.perturb_seed, 0xfeedfacecafeULL);
 
-  if (opts_.shards > opts_.nranks) opts_.shards = opts_.nranks;
+  opts_.shards = std::clamp(opts_.shards, 1, opts_.nranks);
   lookahead_.store(opts_.lookahead < 1 ? Time{1} : opts_.lookahead,
                    std::memory_order_relaxed);
-  if (opts_.shards > 1) {
-    if (opts_.perturb_seed != 0) {
-      std::fprintf(stderr,
-                   "sim::Engine: perturb_seed is single-shard only (the "
-                   "sharded merge order explores its own tie permutations)\n");
+  const int S = opts_.shards;
+  shard_of_rank_.resize(static_cast<std::size_t>(opts_.nranks));
+  const int block = (opts_.nranks + S - 1) / S;
+  for (int s = 0; s < S; ++s) {
+    shards_.push_back(std::make_unique<ShardState>());
+    shards_.back()->id = s;
+    shards_.back()->outbox.resize(static_cast<std::size_t>(S));
+  }
+  for (int r = 0; r < opts_.nranks; ++r) {
+    const int s = S > 1 && opts_.shard_of ? opts_.shard_of(r) : r / block;
+    if (s < 0 || s >= S) {
+      std::fprintf(stderr, "sim::Engine: shard_of(%d) = %d out of [0, %d)\n",
+                   r, s, S);
       std::abort();
     }
-    const int S = opts_.shards;
-    shard_of_rank_.resize(static_cast<std::size_t>(opts_.nranks));
-    const int block = (opts_.nranks + S - 1) / S;
-    for (int s = 0; s < S; ++s) {
-      shards_.push_back(std::make_unique<ShardState>());
-      shards_.back()->id = s;
-      shards_.back()->cal.sorted = true;
-      shards_.back()->outbox.resize(static_cast<std::size_t>(S));
-    }
-    for (int r = 0; r < opts_.nranks; ++r) {
-      const int s = opts_.shard_of ? opts_.shard_of(r) : r / block;
-      if (s < 0 || s >= S) {
-        std::fprintf(stderr, "sim::Engine: shard_of(%d) = %d out of [0, %d)\n",
-                     r, s, S);
-        std::abort();
-      }
-      shard_of_rank_[static_cast<std::size_t>(r)] = s;
-      shards_[static_cast<std::size_t>(s)]->ranks.push_back(r);
-    }
+    shard_of_rank_[static_cast<std::size_t>(r)] = s;
   }
 }
 
@@ -94,12 +82,12 @@ Context& Engine::current() {
   return *g_current_ctx;
 }
 
-Stats& Engine::stats_local() {
-  return shards_.empty() ? stats_ : cur_shard().stats;
-}
+Stats& Engine::stats_local() { return shard_stats(g_shard_id); }
 
+// Shard 0 counts straight into stats_, so stats() read during a run shows
+// live counts: all of them when there is only one shard.
 Stats& Engine::shard_stats(int shard) {
-  return shards_.empty() ? stats_ : shards_[static_cast<std::size_t>(shard)]->stats;
+  return shard == 0 ? stats_ : shards_[static_cast<std::size_t>(shard)]->stats;
 }
 
 void Engine::clamp_lookahead(Time la) {
@@ -120,11 +108,7 @@ void Engine::rank_fiber_body(int rank) {
   rs.st = St::Running;
   main_(rs.ctx);
   rs.st = St::Done;
-  if (shards_.empty()) {
-    ++done_count_;
-  } else {
-    ++cur_shard().done;
-  }
+  ++cur_shard().done;
   yield_to_scheduler(rank, /*exiting=*/true);
   // Unreachable: a Done fiber is never resumed (Fiber aborts if it is).
 }
@@ -138,105 +122,64 @@ void Engine::ensure_fiber(RankState& rs, StackPool* pool) {
 
 void Engine::hand_token_to(int rank) {
   RankState& rs = *ranks_[rank];
-  Fiber* sched;
-  if (shards_.empty()) {
-    sched = &sched_fiber_;
-    ensure_fiber(rs, nullptr);
-  } else {
-    ShardState& sh = cur_shard();
-    sched = sh.sched_fiber;
-    ensure_fiber(rs, &sh.stacks);
-  }
+  ShardState& sh = cur_shard();
+  ensure_fiber(rs, &sh.stacks);
   Context* prev = g_current_ctx;
   g_current_ctx = &rs.ctx;
-  Fiber::switch_to(*sched, *rs.fiber);
+  Fiber::switch_to(*sh.sched_fiber, *rs.fiber);
   g_current_ctx = prev;
   if (rs.st == St::Done) rs.fiber.reset();  // reclaim the stack eagerly
 }
 
 void Engine::yield_to_scheduler(int rank, bool exiting) {
   RankState& rs = *ranks_[rank];
-  Fiber* sched = shards_.empty() ? &sched_fiber_ : cur_shard().sched_fiber;
-  Fiber::switch_to(*rs.fiber, *sched, exiting);
+  Fiber::switch_to(*rs.fiber, *cur_shard().sched_fiber, exiting);
   // Execution resumes here when the scheduler hands the token back.
 }
 
 void Engine::make_ready(int rank, Time t) {
-  RankState& rs = *ranks_[rank];
-  rs.st = St::Ready;
-  if (shards_.empty()) {
-    ready_.push(HeapItem{t, seq_++, next_salt(), rank});
-  } else {
-    // Only legal shard-locally (or pre-run / in the barrier's serial
-    // section, while every shard is quiescent).
-    ShardState& sh = *shards_[static_cast<std::size_t>(shard_of_rank_[rank])];
-    sh.ready.push(HeapItem{t, sh.seq++, 0, rank});
-  }
+  ranks_[rank]->st = St::Ready;
+  // Only legal shard-locally (or pre-run / in the barrier's serial section,
+  // while every shard is quiescent).
+  ShardState& sh = *shards_[static_cast<std::size_t>(shard_of_rank_[rank])];
+  sh.ready.push(
+      HeapItem{t, sh.seq++, perturb_salt(opts_.perturb_seed, rank, t), rank});
 }
 
-void Engine::post_ctx(std::int32_t* sender, Time* send_t,
-                      std::uint64_t* seq) {
+Engine::TieKey Engine::post_key() {
+  TieKey k;
   if (g_current_ctx != nullptr) {
     RankState& rs = *ranks_[static_cast<std::size_t>(g_current_ctx->rank())];
-    *sender = g_current_ctx->rank();
-    *send_t = rs.now;
-    *seq = rs.post_seq++;
-    return;
+    k.sender = g_current_ctx->rank();
+    k.send_t = rs.now;
+    k.seq = rs.post_seq++;
+  } else if (const ShardState& sh = cur_shard(); sh.exec_home >= 0) {
+    k.sender = sh.exec_home;
+    k.send_t = sh.exec_now;
+    k.seq = ranks_[static_cast<std::size_t>(sh.exec_home)]->post_seq++;
+  } else {
+    k.sender = -1;  // pre-run setup, single-threaded
+    k.send_t = 0;
+    k.seq = setup_post_seq_++;
   }
-  if (running_) {
-    ShardState& sh = cur_shard();
-    if (sh.exec_home >= 0) {
-      *sender = sh.exec_home;
-      *send_t = sh.exec_now;
-      *seq = ranks_[static_cast<std::size_t>(sh.exec_home)]->post_seq++;
-      return;
-    }
-  }
-  *sender = -1;  // pre-run setup, single-threaded
-  *send_t = 0;
-  *seq = setup_post_seq_++;
+  k.salt = perturb_salt(opts_.perturb_seed, k.sender, k.send_t);
+  return k;
 }
 
 void Engine::post_event(Time t, EventFn cb) {
-  if (shards_.empty()) {
-    const std::uint32_t slot = slots_.put(std::move(cb));
-    if (opts_.perturb_seed == 0) {
-      // Salt-free runs take the O(1) calendar (same order as the heap).
-      if (cal_.in_span(t)) {
-        cal_.add(t, slot, -1, -1, 0, 0);  // unsorted: append order is seq
-        if (t < next_ev_) next_ev_ = t;
-      } else {
-        far_.push(EventKey{t, 0, seq_++, 0, slot, -1, -1});
-      }
-      return;
-    }
-    events_.push(EventKey{t, 0, seq_++, next_salt(), slot, -1, -1});
-    return;
-  }
   // A non-homed post runs on the posting shard, i.e. effectively homed to
   // the posting context's own rank — record that home so nested posts from
   // its callback inherit a shard-layout-independent attribution.
-  std::int32_t sender;
-  Time send_t;
-  std::uint64_t seq;
-  post_ctx(&sender, &send_t, &seq);
-  shard_insert_local(cur_shard(), t, sender, sender, send_t, seq,
-                     std::move(cb));
+  const TieKey key = post_key();
+  shard_insert_local(cur_shard(), t, key, key.sender, std::move(cb));
 }
 
 void Engine::post_event(Time t, int home_rank, EventFn cb) {
-  if (shards_.empty()) {
-    post_event(t, std::move(cb));
-    return;
-  }
-  std::int32_t sender;
-  Time send_t;
-  std::uint64_t seq;
-  post_ctx(&sender, &send_t, &seq);
+  const TieKey key = post_key();
   const int dst = shard_of_rank_[static_cast<std::size_t>(home_rank)];
   ShardState& sh = cur_shard();
   if (dst == sh.id) {
-    shard_insert_local(sh, t, home_rank, sender, send_t, seq, std::move(cb));
+    shard_insert_local(sh, t, key, home_rank, std::move(cb));
     return;
   }
   // Conservative-lookahead contract: a cross-shard effect may not land
@@ -251,33 +194,29 @@ void Engine::post_event(Time t, int home_rank, EventFn cb) {
                  to_us(t), to_us(sh.window_end), sh.id, dst);
     std::abort();
   }
-  sh.outbox[static_cast<std::size_t>(dst)].push_back(ShardState::Staged{
-      t, send_t, seq, home_rank, sender, std::move(cb)});
+  sh.outbox[static_cast<std::size_t>(dst)].push_back(
+      ShardState::Staged{t, key, home_rank, std::move(cb)});
 }
 
-void Engine::shard_insert_local(ShardState& sh, Time t, std::int32_t home,
-                                std::int32_t sender, Time send_t,
-                                std::uint64_t seq, EventFn cb) {
+void Engine::shard_insert_local(ShardState& sh, Time t, const TieKey& key,
+                                std::int32_t home, EventFn cb) {
   const std::uint32_t slot = sh.slots.put(std::move(cb));
   if (sh.cal.in_span(t)) {
-    sh.cal.add(t, slot, home, sender, send_t, seq);
+    sh.cal.add(t, key, slot, home);
     if (t < sh.next_ev) sh.next_ev = t;
   } else {
-    sh.far.push(EventKey{t, send_t, seq, 0, slot, sender, home});
+    sh.far.push(EventKey{t, key, slot, home});
   }
 }
 
-void Engine::refill_core(Calendar& cal, MinHeap<EventKey>& far,
-                         Time& next_ev) {
-  // Pull every spilled event now inside the calendar span. Runs at every
-  // base advance, *before* any same-time direct insert can append, so the
-  // bucket append order stays identical to (t, seq) order. The unsigned
+void Engine::refill(ShardState& sh) {
+  // Pull every spilled event now inside the calendar span. The unsigned
   // comparison deliberately excludes overdue entries (t < base): they can
   // never be bucketed again and pop from the spill heap instead.
-  while (!far.empty() && far.top().t - cal.base < Calendar::kBuckets) {
-    const EventKey k = far.pop();
-    cal.add(k.t, k.slot, k.home, k.sender, k.send_t, k.seq);
-    if (k.t < next_ev) next_ev = k.t;
+  while (!sh.far.empty() && sh.far.top().t - sh.cal.base < Calendar::kBuckets) {
+    const EventKey k = sh.far.pop();
+    sh.cal.add(k.t, k.key, k.slot, k.home);
+    if (k.t < sh.next_ev) sh.next_ev = k.t;
   }
 }
 
@@ -298,44 +237,41 @@ Time Engine::Calendar::next_from(Time from) const {
   }
 }
 
-Time Engine::next_event_core(Calendar& cal, MinHeap<EventKey>& far,
-                             Time& next_ev, Time bound) {
-  Time ftop = far.empty() ? kNever : far.top().t;
+Time Engine::next_event(ShardState& sh, Time bound) {
+  Calendar& cal = sh.cal;
+  Time ftop = sh.far.empty() ? kNever : sh.far.top().t;
   if (cal.pending == 0 && ftop == kNever) return kNever;
   // Slide the span forward as far as safety allows: never past a pending
   // event (the calendar lower bound or the spill minimum) and never past
   // `bound` — the earliest point still-to-run work could post from, so
   // nothing lands below `base` in the common case. Absolute bucket indexing
-  // means moving `base` relocates no data; refilling right here (before any
-  // same-time direct insert can append) keeps bucket order identical to seq
-  // order. An overdue spill entry (t < base, from a lagging-clock rank)
-  // wraps both min-comparisons to "huge", which is exactly right: it must
-  // not drag `base` backwards, and it wins the final min below.
-  Time nb = cal.pending == 0 ? ftop : (next_ev < ftop ? next_ev : ftop);
+  // means moving `base` relocates no data. An overdue spill entry (t < base,
+  // from a lagging-clock rank) wraps both min-comparisons to "huge", which
+  // is exactly right: it must not drag `base` backwards, and it wins the
+  // final min below.
+  Time nb = cal.pending == 0 ? ftop : (sh.next_ev < ftop ? sh.next_ev : ftop);
   if (nb > bound) nb = bound;
   if (nb > cal.base) {
     cal.base = nb;
-    refill_core(cal, far, next_ev);
-    ftop = far.empty() ? kNever : far.top().t;
+    refill(sh);
+    ftop = sh.far.empty() ? kNever : sh.far.top().t;
   }
   if (cal.pending == 0) return ftop;  // beyond the span, or overdue
-  const Time from = next_ev > cal.base ? next_ev : cal.base;
+  const Time from = sh.next_ev > cal.base ? sh.next_ev : cal.base;
   const Time t = cal.next_from(from);
-  next_ev = t;
+  sh.next_ev = t;
   return ftop < t ? ftop : t;  // ftop < t only when overdue
 }
 
-Engine::PoppedEvent Engine::pop_event_core(Calendar& cal,
-                                           MinHeap<EventKey>& far,
-                                           Time next_ev, Time te) {
+Engine::PoppedEvent Engine::pop_event(ShardState& sh, Time te) {
   // Spill-sourced iff the calendar has nothing in span or the spill top is
-  // overdue (strictly below the freshly scanned calendar minimum `next_ev`);
+  // overdue (strictly below the freshly scanned calendar minimum next_ev);
   // equal times are impossible across the two structures.
-  if (cal.pending == 0 || (!far.empty() && far.top().t < next_ev)) {
-    const EventKey k = far.pop();
+  if (sh.cal.pending == 0 || (!sh.far.empty() && sh.far.top().t < sh.next_ev)) {
+    const EventKey k = sh.far.pop();
     return PoppedEvent{k.slot, k.home};
   }
-  const Calendar::Node n = cal.pop_at(te);
+  const Calendar::Node n = sh.cal.pop_at(te);
   return PoppedEvent{n.slot, n.home};
 }
 
@@ -346,7 +282,7 @@ Time Engine::shard_next_time(ShardState& sh) {
   }
   const Time tr = sh.ready.empty() ? kNever : sh.ready.top().t;
   const Time bound = tr < sh.window_end ? tr : sh.window_end;
-  const Time te = next_event_core(sh.cal, sh.far, sh.next_ev, bound);
+  const Time te = next_event(sh, bound);
   return te < tr ? te : tr;
 }
 
@@ -354,42 +290,24 @@ void Engine::advance_self_to(Time t) {
   Context& ctx = current();
   RankState& rs = *ranks_[ctx.rank()];
   if (t < rs.now) t = rs.now;
-  if (shards_.empty()) {
-    // Fast path: if nothing else (event or rank) is scheduled at or before
-    // t, the scheduler would immediately hand the token back to this rank —
-    // skip the two fiber switches. Strict comparisons keep the global
-    // execution order identical to the slow path. The calendar check must
-    // be *exact* for the same reason (a spurious slow path would emit an
-    // extra scheduling record): when the lower bound next_ev_ can't decide,
-    // scan — the result is the true calendar minimum and is cached.
-    bool event_earlier;
-    if (opts_.perturb_seed == 0) {
-      event_earlier = !far_.empty() && far_.top().t <= t;
-      if (!event_earlier && cal_.pending != 0 && next_ev_ <= t) {
-        const Time from = next_ev_ > cal_.base ? next_ev_ : cal_.base;
-        next_ev_ = cal_.next_from(from);
-        event_earlier = next_ev_ <= t;
-      }
-    } else {
-      event_earlier = !events_.empty() && events_.top().t <= t;
+  // Fast path: if t lies inside the current window (time beyond it needs
+  // the barrier to certify no cross-shard event lands first) and nothing
+  // else (event or rank) is scheduled at or before t, the scheduler would
+  // immediately hand the token back to this rank — skip the two fiber
+  // switches. Strict comparisons keep the execution order identical to the
+  // slow path. The calendar check must be *exact* for the same reason (a
+  // spurious slow path would emit an extra scheduling decision): when the
+  // lower bound next_ev can't decide, scan — the result is the true
+  // calendar minimum and is cached. The cheap tests go first, so a t beyond
+  // the window never pays for the scan.
+  ShardState& sh = cur_shard();
+  if (t < sh.window_end && (sh.ready.empty() || sh.ready.top().t > t) &&
+      (sh.far.empty() || sh.far.top().t > t)) {
+    if (sh.cal.pending != 0 && sh.next_ev <= t) {
+      const Time from = sh.next_ev > sh.cal.base ? sh.next_ev : sh.cal.base;
+      sh.next_ev = sh.cal.next_from(from);
     }
-    const bool rank_earlier = !ready_.empty() && ready_.top().t <= t;
-    if (!event_earlier && !rank_earlier) {
-      rs.now = t;
-      if (t > horizon_) horizon_ = t;
-      return;
-    }
-  } else {
-    // Sharded fast path: additionally require t inside the current window
-    // (time beyond it needs the barrier to certify no cross-shard event
-    // lands first). next_ev is a lower bound, so the check errs only toward
-    // the (correct) slow path.
-    ShardState& sh = cur_shard();
-    const bool event_earlier =
-        (sh.cal.pending != 0 && sh.next_ev <= t) ||
-        (!sh.far.empty() && sh.far.top().t <= t);
-    const bool rank_earlier = !sh.ready.empty() && sh.ready.top().t <= t;
-    if (t < sh.window_end && !event_earlier && !rank_earlier) {
+    if (sh.cal.pending == 0 || sh.next_ev > t) {
       rs.now = t;
       if (t > sh.horizon) sh.horizon = t;
       return;
@@ -407,8 +325,7 @@ void Engine::block_self() {
 }
 
 void Engine::wake(int rank, Time t) {
-  if (!shards_.empty() && shard_of_rank_[static_cast<std::size_t>(rank)] !=
-                              g_shard_id) {
+  if (shard_of_rank_[static_cast<std::size_t>(rank)] != g_shard_id) {
     std::fprintf(stderr,
                  "sim::Engine: wake(%d) crossed shards (%d -> %d); use "
                  "wake_at()\n",
@@ -422,8 +339,7 @@ void Engine::wake(int rank, Time t) {
 }
 
 void Engine::wake_at(int rank, Time t) {
-  if (shards_.empty() ||
-      shard_of_rank_[static_cast<std::size_t>(rank)] == g_shard_id) {
+  if (shard_of_rank_[static_cast<std::size_t>(rank)] == g_shard_id) {
     wake(rank, t);
     return;
   }
@@ -463,6 +379,9 @@ void Context::compute(Time d) {
 }
 
 void Engine::die_deadlocked() {
+  for (auto& sh : shards_) {
+    if (sh->horizon > horizon_) horizon_ = sh->horizon;
+  }
   std::fprintf(stderr,
                "sim::Engine: DEADLOCK at t=%.3f us — no runnable ranks and no "
                "pending events. Blocked ranks:",
@@ -477,104 +396,9 @@ void Engine::die_deadlocked() {
   std::abort();
 }
 
+// ----------------------------------------------------------- scheduling --
+
 void Engine::run() {
-  running_ = true;
-  if (shards_.empty()) {
-    run_single();
-  } else {
-    run_sharded();
-  }
-  running_ = false;
-}
-
-// The classic single-threaded scheduler, bit-exact with previous releases:
-// scheduling decisions depend only on the (t, salt, seq) heap keys, never on
-// slot ids or fiber creation time (fibers are now created lazily on first
-// schedule, which changes when mmap happens but not what order code runs in).
-void Engine::run_single() {
-  for (int r = 0; r < nranks(); ++r) make_ready(r, 0);
-
-  if (opts_.perturb_seed == 0) {
-    // Calendar-queue variant: every salt is zero, so pop order is (t, seq)
-    // for events and (t, events-first, rank, seq) overall — identical to
-    // the heap loop below, at O(1) per event instead of O(log pending).
-    while (done_count_ < nranks()) {
-      while (!ready_.empty() && ranks_[ready_.top().rank]->st != St::Ready) {
-        ready_.pop();  // stale entry (rank was re-queued)
-      }
-      const Time tr = ready_.empty() ? kNever : ready_.top().t;
-      const Time te = next_event_core(cal_, far_, next_ev_, tr);
-      if (te == kNever && tr == kNever) die_deadlocked();
-
-      // Events run before ranks at the same timestamp so that deliveries
-      // are visible to a rank resuming at that instant.
-      if (te <= tr) {
-        const PoppedEvent pe = pop_event_core(cal_, far_, next_ev_, te);
-        // Move the callback out and recycle its slot *before* invoking: the
-        // callback may post events (growing the pool) or run nested engines.
-        EventFn cb = slots_.take(pe.slot);
-        if (te > horizon_) horizon_ = te;
-        if (sched_trace_) sched_trace_->push_back(SchedRecord{te, -1});
-        if (sched_obs_) sched_obs_->on_schedule(te, -1);
-        cb();
-        continue;
-      }
-
-      const HeapItem item = ready_.pop();
-      RankState& rs = *ranks_[item.rank];
-      if (item.t > rs.now) rs.now = item.t;
-      if (rs.now > horizon_) horizon_ = rs.now;
-      rs.st = St::Running;
-      if (sched_trace_) {
-        sched_trace_->push_back(SchedRecord{item.t, item.rank});
-      }
-      if (sched_obs_) sched_obs_->on_schedule(item.t, item.rank);
-      hand_token_to(item.rank);
-    }
-    return;
-  }
-
-  while (done_count_ < nranks()) {
-    const bool have_rank = !ready_.empty();
-    const bool have_event = !events_.empty();
-    if (!have_rank && !have_event) die_deadlocked();
-
-    // Events run before ranks at the same timestamp so that deliveries are
-    // visible to a rank resuming at that instant.
-    const bool run_event =
-        have_event && (!have_rank || events_.top().t <= ready_.top().t);
-    if (run_event) {
-      const EventKey key = events_.pop();
-      // Move the callback out and recycle its slot *before* invoking: the
-      // callback may post events (growing the pool) or run nested engines.
-      EventFn cb = slots_.take(key.slot);
-      if (key.t > horizon_) horizon_ = key.t;
-      if (sched_trace_) sched_trace_->push_back(SchedRecord{key.t, -1});
-      if (sched_obs_) sched_obs_->on_schedule(key.t, -1);
-      cb();
-      continue;
-    }
-
-    const HeapItem item = ready_.pop();
-    RankState& rs = *ranks_[item.rank];
-    if (rs.st != St::Ready) continue;  // stale entry (rank was re-queued)
-    if (item.t > rs.now) rs.now = item.t;
-    if (rs.now > horizon_) horizon_ = rs.now;
-    rs.st = St::Running;
-    if (sched_trace_) sched_trace_->push_back(SchedRecord{item.t, item.rank});
-    if (sched_obs_) sched_obs_->on_schedule(item.t, item.rank);
-    hand_token_to(item.rank);
-  }
-}
-
-// --------------------------------------------------------- sharded driver --
-
-void Engine::run_sharded() {
-  if (sched_trace_ != nullptr) {
-    std::fprintf(stderr,
-                 "sim::Engine: set_schedule_trace is single-shard only\n");
-    std::abort();
-  }
   stop_flag_ = false;
   // Quiescent setup on the caller's thread: every shard's initial ready set.
   for (int r = 0; r < nranks(); ++r) make_ready(r, 0);
@@ -590,24 +414,44 @@ void Engine::run_sharded() {
   // Fold per-shard results into the engine-wide views.
   for (auto& sh : shards_) {
     if (sh->horizon > horizon_) horizon_ = sh->horizon;
+    if (sh->id == 0) continue;  // shard 0 already counts into stats_
     for (const auto& [name, v] : sh->stats.all()) stats_.counter(name) += v;
     sh->stats.clear();
   }
+  if (sched_trace_ != nullptr) merge_traces();
+}
+
+// A k-way merge by (t, shard id) that keeps each shard's own order, so the
+// merged trace is a pure function of the per-shard schedules (the same rule
+// obs::Recorder::merge_shards uses) — and the identity for one shard.
+void Engine::merge_traces() {
+  const std::size_t n = shards_.size();
+  std::vector<std::size_t> pos(n, 0);
+  for (;;) {
+    std::size_t pick = n;
+    for (std::size_t s = 0; s < n; ++s) {
+      const auto& tr = shards_[s]->trace;
+      if (pos[s] < tr.size() &&
+          (pick == n || tr[pos[s]].t < shards_[pick]->trace[pos[pick]].t)) {
+        pick = s;
+      }
+    }
+    if (pick == n) break;
+    sched_trace_->push_back(shards_[pick]->trace[pos[pick]++]);
+  }
+  for (auto& sh : shards_) sh->trace.clear();
 }
 
 void Engine::shard_main(ShardState& sh) {
   g_shard_id = sh.id;
-  Fiber adopted;  // this worker thread's scheduler fiber
+  Fiber adopted;  // this thread's scheduler fiber
   sh.sched_fiber = &adopted;
-  for (;;) {
-    if (window_barrier(sh)) break;
-    execute_window(sh);
-  }
+  while (!window_barrier()) execute_window(sh);
   sh.sched_fiber = nullptr;
   g_shard_id = 0;
 }
 
-bool Engine::window_barrier(ShardState& sh) {
+bool Engine::window_barrier() {
   std::unique_lock<std::mutex> lk(barrier_mu_);
   if (++barrier_count_ == static_cast<int>(shards_.size())) {
     barrier_count_ = 0;
@@ -618,26 +462,24 @@ bool Engine::window_barrier(ShardState& sh) {
     const std::uint64_t gen = barrier_gen_;
     barrier_cv_.wait(lk, [&] { return barrier_gen_ != gen; });
   }
-  (void)sh;
   return stop_flag_;
 }
 
 // Runs with every shard parked at the barrier (the barrier mutex orders all
 // shard-private state both ways), so it may touch any shard without atomics.
 void Engine::serial_merge_and_plan() {
-  // Merge staged cross-shard events. Every entry carries its canonical
-  // (send_t, sender, seq) key from post time and the destination buckets
-  // sort by that key, so the insert order here is immaterial: the resulting
-  // schedule is a pure function of the simulation, invariant to both host
-  // thread timing and the shard count itself.
+  // Merge staged cross-shard events. Every entry carries its TieKey from
+  // post time and the destination buckets sort by that key, so the insert
+  // order here is immaterial: the resulting schedule is a pure function of
+  // the simulation, invariant to both host thread timing and the shard
+  // count itself.
   for (auto& src : shards_) {
     for (std::size_t d = 0; d < shards_.size(); ++d) {
       auto& box = src->outbox[d];
       if (box.empty()) continue;
       ShardState& dst = *shards_[d];
       for (auto& st : box) {
-        shard_insert_local(dst, st.t, st.home, st.sender, st.send_t, st.seq,
-                           std::move(st.cb));
+        shard_insert_local(dst, st.t, st.key, st.home, std::move(st.cb));
       }
       box.clear();
     }
@@ -651,26 +493,23 @@ void Engine::serial_merge_and_plan() {
   }
 
   Time tmin = kNever;
-  for (auto& sh : shards_) {
-    sh->next_time = shard_next_time(*sh);
-    if (sh->next_time < tmin) tmin = sh->next_time;
-  }
-  if (tmin == kNever) {
-    for (auto& sh : shards_) {
-      if (sh->horizon > horizon_) horizon_ = sh->horizon;
-    }
-    die_deadlocked();
-  }
+  for (auto& sh : shards_) tmin = std::min(tmin, shard_next_time(*sh));
+  if (tmin == kNever) die_deadlocked();
 
-  const Time wend = tmin + lookahead_.load(std::memory_order_relaxed);
+  // A lone shard has nothing to synchronize with: one unbounded window runs
+  // the whole simulation, so it crosses the barrier only at start and end.
+  const Time wend = shards_.size() == 1
+                        ? kNever
+                        : tmin + lookahead_.load(std::memory_order_relaxed);
   for (auto& sh : shards_) sh->window_end = wend;
 }
 
 // Execute every local item with t < window_end, in (t, events-before-ranks,
-// canonical causal key) order. The causal key — posting context's virtual
-// time, home rank, per-sender sequence — is assigned at post time from
-// simulation state alone, so the schedule each rank observes is identical
-// for every shard count: virtual-time results are shard-count-invariant.
+// tie key) order; returns early once every rank of the simulation is done.
+// The tie key — salt, then posting context's virtual time, home rank,
+// per-sender sequence — is assigned at post time from simulation state
+// alone, so the schedule each rank observes is identical for every shard
+// count: virtual-time results are shard-count-invariant.
 void Engine::execute_window(ShardState& sh) {
   const Time wend = sh.window_end;
   for (;;) {
@@ -680,16 +519,20 @@ void Engine::execute_window(ShardState& sh) {
     }
     const Time tr = sh.ready.empty() ? kNever : sh.ready.top().t;
     const Time bound = tr < wend ? tr : wend;
-    const Time te = next_event_core(sh.cal, sh.far, sh.next_ev, bound);
+    const Time te = next_event(sh, bound);
     if (te >= wend && tr >= wend) return;
 
+    // Events run before ranks at the same timestamp so that deliveries are
+    // visible to a rank resuming at that instant.
     if (te <= tr) {
-      const PoppedEvent pe = pop_event_core(sh.cal, sh.far, sh.next_ev, te);
+      const PoppedEvent pe = pop_event(sh, te);
+      // Move the callback out and recycle its slot *before* invoking: the
+      // callback may post events (growing the pool) or run nested engines.
       EventFn cb = sh.slots.take(pe.slot);
       if (te > sh.horizon) sh.horizon = te;
       sh.exec_now = te;
       sh.exec_home = pe.home;  // nested posts attribute to this rank
-      if (sched_obs_) sched_obs_->on_schedule(te, -1);
+      note_decision(sh, te, -1);
       cb();
       // Batch-drain the rest of this nanosecond: after one event the next
       // item is usually another event in the same bucket, so skip the full
@@ -715,7 +558,7 @@ void Engine::execute_window(ShardState& sh) {
         }
         EventFn cb2 = sh.slots.take(n.slot);
         sh.exec_home = n.home;
-        if (sched_obs_) sched_obs_->on_schedule(te, -1);
+        note_decision(sh, te, -1);
         cb2();
       }
       sh.exec_home = -1;
@@ -728,8 +571,9 @@ void Engine::execute_window(ShardState& sh) {
     if (rs.now > sh.horizon) sh.horizon = rs.now;
     rs.st = St::Running;
     sh.exec_now = item.t;
-    if (sched_obs_) sched_obs_->on_schedule(item.t, item.rank);
+    note_decision(sh, item.t, item.rank);
     hand_token_to(item.rank);
+    if (sh.done == nranks()) return;  // every rank finished: run is over
   }
 }
 

@@ -1,39 +1,38 @@
 // Deterministic discrete-event engine with cooperatively scheduled ranks.
 //
 // Each simulated MPI rank is a user-level stackful fiber (sim::Fiber — a
-// coroutine with its own guard-paged stack). In the classic configuration
-// (Options::shards == 1) every fiber is multiplexed on the one OS thread
-// that calls run(): exactly one party (a rank fiber or the scheduler) runs
-// at any moment; the scheduler always resumes the runnable rank / event with
-// the smallest (virtual time, sequence number) key, so execution order — and
-// therefore every simulated result — is bit-reproducible. A rank switch is a
-// ~100 ns userspace register swap, not the mutex/condvar OS-thread handoff
-// (two kernel context switches plus lock traffic) earlier versions paid per
-// scheduling decision.
+// coroutine with its own guard-paged stack). Ranks are partitioned into
+// shards (Options::shards, default 1); each shard owns a ready heap, an
+// event calendar, slot pools, a fiber stack pool and a stats block, and is
+// driven by one host thread — the caller of run() for shard 0, a worker
+// thread for every other shard. Within a shard exactly one party (a rank
+// fiber or the shard's scheduler) runs at any moment. A rank switch is a
+// ~100 ns userspace register swap, not an OS-thread handoff.
 //
-// Determinism argument (single shard): scheduling decisions depend only on
-// the (t, seq) min-heaps, seq is a single monotonically increasing counter,
-// and every tie is broken by seq — a total order. Fibers make the
-// interleaving literally single-threaded, so no OS scheduler choice, lock
-// handoff, or memory-model subtlety can perturb it; Options::stack_bytes
+// One scheduling loop serves every shard count (DESIGN.md §6, §12). Shards
+// advance in conservative lookahead windows (Lubachevsky bounded-lag): a
+// window barrier computes the global minimum next-item time T and every
+// shard then executes only items with t < T + lookahead. Cross-shard effects
+// are staged in per-destination outboxes and merged at the next barrier.
+// Events the runtime posts across shards carry at least the minimum network
+// latency, so with lookahead <= that latency no merged event can land inside
+// an already-executed region. A single shard has no peer to wait for: its
+// window is unbounded, so it meets the barrier only at start and finish.
+//
+// Determinism argument: a shard always runs its item with the smallest key
+// (t, events-before-ranks, tie order). Ranks tie by (salt, rank id); events
+// by (salt, send_t, sender, seq), the canonical causal key assigned at post
+// time — the posting context's virtual time, home rank and per-sender
+// sequence, functions of the simulation alone, never of which host thread
+// staged the event. Salts are zero unless Options::perturb_seed is set, and
+// then are pure hashes of virtual-time facts of the tied party. Every key is
+// therefore a total order fixed by the simulation itself, so virtual-time
+// results, window bytes and metrics are run-to-run reproducible AND
+// shard-count invariant (tests/test_sharded_runtime.cpp sweeps shards over
+// {1,2,4,8}).
+// Fibers make each shard's interleaving literally single-threaded, so no OS
+// scheduler choice or lock handoff can perturb it; Options::stack_bytes
 // changes where stacks live, never what order code runs in.
-//
-// Sharded configuration (Options::shards > 1, DESIGN.md §12): ranks are
-// partitioned into shards, each driven by its own host worker thread with a
-// private ready heap, event calendar, slot pools, fiber stack pool, and
-// stats block — intra-shard scheduling takes no locks at all. Shards advance
-// in conservative lookahead windows (Lubachevsky bounded-lag): a window
-// barrier computes the global minimum next-item time T and every shard then
-// executes only items with t < T + lookahead. Cross-shard effects are staged
-// in per-destination outboxes and merged at the next barrier. Events the
-// runtime posts across shards carry at least the minimum network latency,
-// so with lookahead <= that latency no merged event can land inside an
-// already-executed region. Same-timestamp ties are broken by a canonical
-// causal key (send virtual time, sender rank, per-sender posting sequence)
-// assigned at post time — a pure function of the simulation, independent of
-// which host thread staged the event — so virtual-time results, window
-// bytes, and metrics are SHARD-COUNT INVARIANT, not merely run-to-run
-// stable (tests/test_sharded_runtime.cpp sweeps shards over {1,2,4,8}).
 //
 // Stack sizing: Options::stack_bytes sizes each rank fiber's stack (rounded
 // up to whole pages, minimum Fiber::kMinStackBytes). A PROT_NONE guard page
@@ -44,10 +43,10 @@
 //   ctx.advance(ns(500));   // model fixed software overhead
 //   engine.block_self();    // wait until another party calls wake()
 //
-// Event callbacks posted with post_event() run on the scheduler fiber at
-// their timestamp, strictly interleaved with rank execution in time order.
-// They must not block; they typically deliver messages and wake ranks. In
-// sharded mode an event must run on the shard owning the rank whose state it
+// Event callbacks posted with post_event() run on the shard's scheduler
+// fiber at their timestamp, strictly interleaved with rank execution in time
+// order. They must not block; they typically deliver messages and wake
+// ranks. An event must run on the shard owning the rank whose state it
 // mutates — post it with the homed overload post_event(t, home_rank, cb).
 #pragma once
 
@@ -127,18 +126,18 @@ class Engine {
     /// Usable stack bytes per rank fiber (page-rounded, guard page added).
     std::size_t stack_bytes = 256 * 1024;
     /// Non-zero: perturb scheduling tie-breaks. Parties scheduled for the
-    /// SAME virtual time are ordered by a seeded pseudo-random salt instead
-    /// of (rank, seq), so each perturb_seed explores a different — but still
-    /// bit-reproducible — legal interleaving. Events still run before ranks
-    /// at equal timestamps (deliveries stay visible to a rank resuming at
-    /// that instant), and virtual-time ordering is never violated, so every
-    /// perturbed schedule is one the unperturbed rules could legally emit
-    /// under different message timings. 0 = classic deterministic order.
-    /// Single-shard only (the sharded scheduler's merge order is its own,
-    /// already-explored source of legal tie permutations).
+    /// SAME virtual time are ordered first by a salt hashed from
+    /// (perturb_seed, sender, send time) for an event and (perturb_seed,
+    /// rank, ready time) for a rank, so each perturb_seed explores a
+    /// different, bit-reproducible legal interleaving, the same one at every
+    /// shard count. Events still run before ranks at equal timestamps
+    /// (deliveries stay visible to a rank resuming at that instant), and
+    /// virtual-time ordering is never violated, so every perturbed schedule
+    /// is one the unperturbed rules could legally emit under different
+    /// message timings. 0 = the unperturbed order.
     std::uint64_t perturb_seed = 0;
-    /// Number of scheduler shards (worker threads). 1 = the classic
-    /// single-threaded scheduler, bit-exact with previous releases.
+    /// Number of scheduler shards (host threads). 1 runs everything on the
+    /// thread that calls run().
     int shards = 1;
     /// Conservative synchronization window for shards > 1: no cross-shard
     /// effect may be scheduled less than `lookahead` after the time of the
@@ -179,9 +178,9 @@ class Engine {
 
   /// Schedule `cb` to run on the scheduler fiber at virtual time `t` (>= the
   /// current global time). EventFn is move-only, so closures may own pooled
-  /// buffers; posting allocates nothing once the slot pool is warm. In
-  /// sharded mode the event runs on the calling shard — use the homed
-  /// overload whenever the callback touches another rank's state.
+  /// buffers; posting allocates nothing once the slot pool is warm. The
+  /// event runs on the calling shard — use the homed overload whenever the
+  /// callback touches another rank's state.
   void post_event(Time t, EventFn cb);
 
   /// Schedule `cb` to run at `t` on the shard owning `home_rank` (the rank
@@ -219,29 +218,26 @@ class Engine {
   /// the core).
   void set_compute_scale(int rank, double scale);
 
-  /// Simulation-wide counters. Single-shard: the live registry. Sharded:
-  /// the post-run merge of every shard's registry (valid after run()).
+  /// Simulation-wide counters. During a run this is shard 0's live registry
+  /// (the whole simulation's when unsharded); after run() every other
+  /// shard's registry has been folded in.
   Stats& stats() { return stats_; }
 
-  /// The registry hot paths must increment: the calling shard's own block in
-  /// sharded mode (no synchronization), stats() otherwise.
+  /// The registry hot paths must increment: the calling shard's own block
+  /// (no synchronization).
   Stats& stats_local();
 
   /// A specific shard's registry (stable from construction), for resolving
-  /// per-shard hot-counter pointers before run().
+  /// per-shard hot-counter pointers before run(). Shard 0's is stats().
   Stats& shard_stats(int shard);
 
   Rng& rank_rng(int rank) { return ranks_[rank]->rng; }
 
   // --- sharding introspection ---
 
-  bool sharded() const { return !shards_.empty(); }
-  int shards() const {
-    return shards_.empty() ? 1 : static_cast<int>(shards_.size());
-  }
-  int shard_of_rank(int rank) const {
-    return shard_of_rank_.empty() ? 0 : shard_of_rank_[rank];
-  }
+  bool sharded() const { return shards_.size() > 1; }
+  int shards() const { return static_cast<int>(shards_.size()); }
+  int shard_of_rank(int rank) const { return shard_of_rank_[rank]; }
   /// Shard id of the calling thread (0 when single-sharded or off-engine).
   static int current_shard();
 
@@ -270,8 +266,11 @@ class Engine {
 
   /// Capture every scheduling decision into `sink` (null disables capture).
   /// The recorded sequence identifies a schedule exactly: together with
-  /// (seed, perturb_seed) it makes interleaving bugs replayable and lets a
-  /// repro file show *where* two schedules diverged. Single-shard only.
+  /// (seed, perturb_seed, shards) it makes interleaving bugs replayable and
+  /// lets a repro file show *where* two schedules diverged. Each shard
+  /// records its own decisions; run() appends them to `sink` merged by
+  /// (virtual time, shard id, per-shard order), so the merged trace is
+  /// deterministic and holds one record per decision.
   void set_schedule_trace(std::vector<SchedRecord>* sink) {
     sched_trace_ = sink;
   }
@@ -292,9 +291,9 @@ class Engine {
     St st = St::NotStarted;
     Time now = 0;
     Time penalty = 0;         // stolen compute time not yet consumed
-    /// Canonical per-sender post counter (sharded runs); lives here, next
-    /// to `now`, so the post hot path touches one rank cache line. Only the
-    /// shard owning this rank ever increments it.
+    /// Canonical per-sender post counter; lives here, next to `now`, so the
+    /// post hot path touches one rank cache line. Only the shard owning this
+    /// rank ever increments it.
     std::uint64_t post_seq = 0;
     bool computing = false;   // inside Context::compute()
     double compute_scale = 1.0;
@@ -304,7 +303,7 @@ class Engine {
   struct HeapItem {
     Time t;
     std::uint64_t seq;
-    std::uint32_t salt;  // 0 unless schedule perturbation is on
+    std::uint32_t salt;  // perturb_salt(rank, t)
     std::int32_t rank;   // -1 for events
     bool operator>(const HeapItem& o) const {
       if (t != o.t) return t > o.t;
@@ -317,37 +316,43 @@ class Engine {
     }
   };
 
-  /// Heap entry for a pending event; the callback lives in a pooled slot
-  /// (SlotPool) so heap sifts move plain bytes, never a closure.
-  ///
-  /// Tie-break at equal delivery time: salt (perturbed single-shard runs),
-  /// then the canonical causal key (send_t, sender, seq). Single-shard posts
-  /// pin send_t = 0 and sender = -1, so their order reduces to the legacy
-  /// global (t, salt, seq) — bit-exact with previous releases. Sharded posts
-  /// carry the posting context's virtual time, its home rank, and a
-  /// per-sender sequence number; all three are functions of the simulation
-  /// itself, never of the shard layout, which is what makes same-timestamp
-  /// execution order — and therefore every virtual-time result —
-  /// shard-count-invariant.
-  struct EventKey {
-    Time t;
-    Time send_t;         // posting context's virtual time (0 single-shard)
-    std::uint64_t seq;   // per-sender in sharded runs, global otherwise
-    std::uint32_t salt;  // 0 unless schedule perturbation is on
-    std::uint32_t slot;
-    std::int32_t sender;  // posting context's home rank (-1 single-shard)
-    std::int32_t home;    // rank whose shard executes the event
-    bool operator>(const EventKey& o) const {
-      if (t != o.t) return t > o.t;
-      if (salt != o.salt) return salt > o.salt;
-      if (send_t != o.send_t) return send_t > o.send_t;
-      if (sender != o.sender) return sender > o.sender;
-      return seq > o.seq;
+  /// An event's tie key at equal delivery time: salt, then the canonical
+  /// causal key (send_t, sender, seq) — the posting context's virtual time,
+  /// its home rank, and a per-sender sequence number. The time and rank are
+  /// functions of the simulation itself, never of the shard layout, and seq
+  /// only orders one sender's posts at one instant, in program order. That
+  /// is what makes same-timestamp execution order — and therefore every
+  /// virtual-time result — shard-count-invariant. Built once per post by
+  /// post_key(); the calendar, the spill heap and the cross-shard outboxes
+  /// all carry it, so this is the one definition of the event tie order.
+  struct TieKey {
+    std::uint32_t salt;   // perturb_salt(sender, send_t); 0 unperturbed
+    std::int32_t sender;  // posting context's home rank (-1: pre-run setup)
+    Time send_t;          // posting context's virtual time
+    std::uint64_t seq;    // per-sender post sequence
+    bool operator<(const TieKey& o) const {
+      if (salt != o.salt) return salt < o.salt;
+      if (send_t != o.send_t) return send_t < o.send_t;
+      if (sender != o.sender) return sender < o.sender;
+      return seq < o.seq;
     }
   };
 
-  /// What pop_event_core hands back: the callback's slot plus the home rank
-  /// the sharded executor attributes nested posts to (-1 single-shard).
+  /// Spill-heap entry for a pending event; the callback lives in a pooled
+  /// slot (SlotPool) so heap sifts move plain bytes, never a closure.
+  struct EventKey {
+    Time t;
+    TieKey key;
+    std::uint32_t slot;
+    std::int32_t home;  // rank whose shard executes the event
+    bool operator>(const EventKey& o) const {
+      if (t != o.t) return t > o.t;
+      return o.key < key;
+    }
+  };
+
+  /// What pop_event hands back: the callback's slot plus the home rank the
+  /// executor attributes nested posts to.
   struct PoppedEvent {
     std::uint32_t slot;
     std::int32_t home;
@@ -406,42 +411,49 @@ class Engine {
     }
   };
 
-  /// Bounded-horizon bucket calendar (sharded scheduler's event queue).
-  /// Covers [base, base + kBuckets) nanoseconds with one bucket per
-  /// nanosecond, indexed by absolute time so rebasing moves no data. In the
-  /// single-shard calendar (`sorted` false) entries within a bucket — one
-  /// timestamp — pop in append order == posting order == seq order,
-  /// reproducing the (t, seq) total order with O(1) insert and pop; the
-  /// binary heap's O(log n) sift and its cache misses are what cap
-  /// single-threaded event throughput. Shard calendars set `sorted`: buckets
-  /// are kept ordered by the canonical (send_t, sender, seq) causal key so
-  /// same-timestamp pops are shard-count-invariant, with the append fast
-  /// path still O(1) for the monotone common case. Events beyond the span
-  /// spill to a keyed heap and refill when the base advances.
+  /// Tie-break salt of a perturbed schedule: a pure hash of who is tied and
+  /// a virtual time — (sender, send_t) for an event, (rank, ready time) for
+  /// a rank — so one perturb_seed reorders the same ties at every shard
+  /// count. A stored RNG stream would depend on the order shards draw from
+  /// it. Per-party counters (post seq, ready pushes) keep their order in
+  /// every layout but not their values: the runtime's collective releaser
+  /// is whichever member arrives last in host order, and a cross-shard wake
+  /// posts an event where a lone shard wakes directly. Virtual times are
+  /// the same in every layout. Events a sender posts at one instant share a
+  /// salt and keep their posting order. 0 when perturbation is off.
+  static std::uint32_t perturb_salt(std::uint64_t perturb_seed,
+                                    std::int64_t who, Time t) {
+    if (perturb_seed == 0) return 0;
+    return static_cast<std::uint32_t>(
+        Rng(perturb_seed ^ static_cast<std::uint64_t>(who),
+            static_cast<std::uint64_t>(t))
+            .next_u64() >>
+        32);
+  }
+
+  /// Bounded-horizon bucket calendar (each shard's event queue). Covers
+  /// [base, base + kBuckets) nanoseconds with one bucket per nanosecond,
+  /// indexed by absolute time so rebasing moves no data. Buckets are kept
+  /// ordered by TieKey, so same-timestamp pops are shard-count-invariant. Insert and pop are O(1) in the common
+  /// case of monotone keys, where a binary heap's O(log n) sift and its
+  /// cache misses would cap event throughput. Events beyond the span spill
+  /// to a keyed heap and refill when the base advances.
   struct Calendar {
     static constexpr std::size_t kBuckets = 4096;  // power of two, ns each
     static constexpr std::uint32_t kNil = 0xffffffffu;
-    /// Buckets are intrusive FIFO lists over one shared node arena: the
-    /// arena grows geometrically and nodes recycle through a free list, so
-    /// the steady state allocates nothing no matter which of the 4096
+    /// Buckets are intrusive doubly linked lists over one shared node arena:
+    /// the arena grows geometrically and nodes recycle through a free list,
+    /// so the steady state allocates nothing no matter which of the 4096
     /// buckets the workload rotates through (per-bucket vectors would pay
     /// one warm-up allocation per bucket, which the zero-allocation hot
     /// path guard rightly counts).
     struct Node {
+      TieKey key;  // delivery times in a bucket are equal by construction
       std::uint32_t slot;
       std::uint32_t next;
-      std::int32_t sender;
+      std::uint32_t prev;
       std::int32_t home;
-      Time send_t;
-      std::uint64_t seq;
     };
-    /// Canonical intra-bucket order (delivery times are equal by
-    /// construction — a bucket holds exactly one timestamp).
-    static bool key_less(const Node& a, const Node& b) {
-      if (a.send_t != b.send_t) return a.send_t < b.send_t;
-      if (a.sender != b.sender) return a.sender < b.sender;
-      return a.seq < b.seq;
-    }
     std::array<std::uint32_t, kBuckets> head;
     std::array<std::uint32_t, kBuckets> tail;
     std::vector<Node> nodes;
@@ -449,7 +461,6 @@ class Engine {
     std::uint64_t occ[kBuckets / 64] = {};
     Time base = 0;
     std::size_t pending = 0;
-    bool sorted = false;  // shard calendars keep buckets in key order
 
     Calendar() {
       head.fill(kNil);
@@ -457,16 +468,16 @@ class Engine {
     }
 
     bool in_span(Time t) const { return t - base < kBuckets; }
-    void add(Time t, std::uint32_t slot, std::int32_t home,
-             std::int32_t sender, Time send_t, std::uint64_t seq) {
+    void add(Time t, const TieKey& key, std::uint32_t slot,
+             std::int32_t home) {
       std::uint32_t n;
       if (free_head != kNil) {
         n = free_head;
         free_head = nodes[n].next;
-        nodes[n] = Node{slot, kNil, sender, home, send_t, seq};
+        nodes[n] = Node{key, slot, kNil, kNil, home};
       } else {
         n = static_cast<std::uint32_t>(nodes.size());
-        nodes.push_back(Node{slot, kNil, sender, home, send_t, seq});
+        nodes.push_back(Node{key, slot, kNil, kNil, home});
       }
       const std::size_t i = static_cast<std::size_t>(t) & (kBuckets - 1);
       ++pending;
@@ -475,31 +486,38 @@ class Engine {
         occ[i >> 6] |= 1ull << (i & 63);
         return;
       }
-      if (!sorted || !key_less(nodes[n], nodes[tail[i]])) {
-        nodes[tail[i]].next = n;  // append: monotone keys, the common case
+      if (!(key < nodes[tail[i]].key)) {
+        nodes[n].prev = tail[i];  // append: monotone keys, the common case
+        nodes[tail[i]].next = n;
         tail[i] = n;
         return;
       }
-      if (key_less(nodes[n], nodes[head[i]])) {
-        nodes[n].next = head[i];
+      // Out of order: a rank whose clock runs ahead of its shard posted
+      // first. Such keys land a few entries before the tail, while a busy
+      // bucket holds thousands, so walk back from the tail.
+      std::uint32_t p = tail[i];
+      while (nodes[p].prev != kNil && key < nodes[nodes[p].prev].key) {
+        p = nodes[p].prev;
+      }
+      nodes[n].next = p;
+      nodes[n].prev = nodes[p].prev;
+      if (nodes[p].prev == kNil) {
         head[i] = n;
-        return;
+      } else {
+        nodes[nodes[p].prev].next = n;
       }
-      std::uint32_t p = head[i];
-      while (nodes[p].next != kNil &&
-             !key_less(nodes[n], nodes[nodes[p].next])) {
-        p = nodes[p].next;
-      }
-      nodes[n].next = nodes[p].next;
-      nodes[p].next = n;
-      if (nodes[n].next == kNil) tail[i] = n;
+      nodes[p].prev = n;
     }
     Node pop_at(Time t) {
       const std::size_t i = static_cast<std::size_t>(t) & (kBuckets - 1);
       const std::uint32_t n = head[i];
       const Node out = nodes[n];
       head[i] = nodes[n].next;
-      if (head[i] == kNil) occ[i >> 6] &= ~(1ull << (i & 63));
+      if (head[i] == kNil) {
+        occ[i >> 6] &= ~(1ull << (i & 63));
+      } else {
+        nodes[head[i]].prev = kNil;
+      }
       nodes[n].next = free_head;
       free_head = n;
       --pending;
@@ -516,7 +534,6 @@ class Engine {
   /// quiescent.
   struct ShardState {
     int id = 0;
-    std::vector<int> ranks;  // global rank ids owned by this shard
     MinHeap<HeapItem> ready;
     Calendar cal;
     MinHeap<EventKey> far;  // events beyond the calendar span
@@ -529,33 +546,24 @@ class Engine {
     /// one); nested posts from a callback attribute to this rank so their
     /// canonical keys are functions of the simulation, not the shard map.
     std::int32_t exec_home = -1;
-    Time next_time = kNever;  // min next item time, read at the barrier
     Time horizon = 0;
     int done = 0;
     StackPool stacks;
-    Stats stats;
-    Fiber* sched_fiber = nullptr;  // worker thread's adopted fiber
+    Stats stats;  // unused by shard 0, which counts into Engine::stats_
+    std::vector<SchedRecord> trace;  // this shard's decisions (when traced)
+    Fiber* sched_fiber = nullptr;    // the driving thread's adopted fiber
     /// Cross-shard staging: one vector per destination shard. Entries carry
     /// their canonical causal key, assigned at post time on the source
     /// shard, so the merge order is irrelevant to the destination's
     /// intra-bucket sort.
     struct Staged {
       Time t;
-      Time send_t;
-      std::uint64_t seq;
+      TieKey key;
       std::int32_t home;
-      std::int32_t sender;
       EventFn cb;
     };
     std::vector<std::vector<Staged>> outbox;
   };
-
-  /// Tie-break salt for the next heap push (0 when perturbation is off).
-  std::uint32_t next_salt() {
-    return opts_.perturb_seed == 0
-               ? 0
-               : static_cast<std::uint32_t>(perturb_rng_.next_u64() >> 32);
-  }
 
   static void fiber_trampoline(void* arg);
   void rank_fiber_body(int rank);
@@ -565,64 +573,47 @@ class Engine {
   void ensure_fiber(RankState& rs, StackPool* pool);
   [[noreturn]] void die_deadlocked();
 
-  // --- sharded core (engine.cpp) ---
-  void run_single();
-  void run_sharded();
   void shard_main(ShardState& sh);
   void execute_window(ShardState& sh);
+  /// Record one scheduling decision (trace sink and observer).
+  void note_decision(ShardState& sh, Time t, int rank) {
+    if (sched_trace_) sh.trace.push_back(SchedRecord{t, rank});
+    if (sched_obs_) sched_obs_->on_schedule(t, rank);
+  }
   /// Barrier + serial section; returns true when the run is complete.
-  bool window_barrier(ShardState& sh);
+  bool window_barrier();
   void serial_merge_and_plan();
-  void shard_insert_local(ShardState& sh, Time t, std::int32_t home,
-                          std::int32_t sender, Time send_t, std::uint64_t seq,
-                          EventFn cb);
+  /// Append every shard's decision records to the trace sink.
+  void merge_traces();
+  void shard_insert_local(ShardState& sh, Time t, const TieKey& key,
+                          std::int32_t home, EventFn cb);
   Time shard_next_time(ShardState& sh);
   ShardState& cur_shard();
-  /// Resolve the posting context for a sharded post: the rank fiber holding
-  /// the token, else the executing event's home, else -1 (pre-run setup).
-  /// Returns the sender rank, its virtual time, and its next sequence
-  /// number — the canonical causal key shared by every shard layout.
-  void post_ctx(std::int32_t* sender, Time* send_t, std::uint64_t* seq);
+  /// The tie key of a post from the calling context: the rank fiber
+  /// holding the token, else the executing event's home, else -1 (pre-run
+  /// setup) — its home rank, virtual time and next sequence number, salted
+  /// when perturbed. The same key in every shard layout.
+  TieKey post_key();
 
-  // --- shared event-queue core (calendar + spill heap; engine.cpp) --------
+  // --- a shard's event queue (calendar + spill heap; engine.cpp) ----------
   /// Pull every spilled event now inside the calendar span (entries below
   /// `base` — "overdue" posts from lagging-clock ranks — stay in `far` and
   /// pop from there).
-  static void refill_core(Calendar& cal, MinHeap<EventKey>& far,
-                          Time& next_ev);
+  static void refill(ShardState& sh);
   /// Earliest pending event time across calendar + spill heap, advancing
   /// the calendar base as far as `bound` allows. Returns kNever when empty.
-  static Time next_event_core(Calendar& cal, MinHeap<EventKey>& far,
-                              Time& next_ev, Time bound);
-  /// Pop the event `next_event_core` just reported at `te`.
-  static PoppedEvent pop_event_core(Calendar& cal, MinHeap<EventKey>& far,
-                                    Time next_ev, Time te);
+  static Time next_event(ShardState& sh, Time bound);
+  /// Pop the event `next_event` just reported at `te`.
+  static PoppedEvent pop_event(ShardState& sh, Time te);
 
   Options opts_;
   RankMain main_;
+  // Declared before ranks_ so rank fibers return their stacks to the shard
+  // pools before those pools are destroyed.
+  std::vector<std::unique_ptr<ShardState>> shards_;  // at least one
   std::vector<std::unique_ptr<RankState>> ranks_;
-  MinHeap<HeapItem> ready_;
-  MinHeap<EventKey> events_;
-  SlotPool slots_;
-  /// Single-shard event queue when perturbation is off: the same calendar +
-  /// spill pair the shards use. With every salt zero, (t, seq) calendar
-  /// order is exactly the salted heap's pop order, so this is bit-exact
-  /// with events_ while making insert/pop O(1). Perturbed runs need a
-  /// comparison-based queue (salts reorder equal-time events) and keep
-  /// using events_.
-  Calendar cal_;
-  MinHeap<EventKey> far_;
-  Time next_ev_ = kNever;
-  std::uint64_t seq_ = 0;
-  Time horizon_ = 0;
-  int done_count_ = 0;
-  bool running_ = false;
-
-  Fiber sched_fiber_;  // adopts the thread that calls run() (single-shard)
-
-  // --- sharded state ---
-  std::vector<std::unique_ptr<ShardState>> shards_;  // empty when unsharded
   std::vector<int> shard_of_rank_;
+  Time horizon_ = 0;
   /// Post counter for sender -1 (pre-run setup posts, single-threaded).
   /// Rank senders count in RankState::post_seq, touched only by the shard
   /// owning the rank — every execution context lives on its home's shard —
@@ -636,7 +627,6 @@ class Engine {
   std::uint64_t barrier_gen_ = 0;
   bool stop_flag_ = false;
 
-  Rng perturb_rng_;  // tie-break salt stream (seeded by Options::perturb_seed)
   std::vector<SchedRecord>* sched_trace_ = nullptr;
   SchedObserver* sched_obs_ = nullptr;
 

@@ -187,8 +187,8 @@ TEST(AdaptiveDecisions, SegmentRebindInvariantAcrossSchedulesAndShards) {
     expect_same(ref, run_seg(s, 1), "schedule " + std::to_string(s));
   }
   for (int sh : {2, 4, 8}) {
-    // Sharded engines reject perturb_seed; schedule freedom there comes from
-    // the worker-thread interleaving itself.
+    // Shard sweeps keep the unperturbed order; one perturb seed across shard
+    // counts is covered by tests/test_sharded_runtime.cpp.
     expect_same(ref, run_seg(0, sh), "shards " + std::to_string(sh));
   }
 }

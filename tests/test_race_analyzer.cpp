@@ -17,6 +17,7 @@
 #include "mpi/runtime.hpp"
 #include "net/profile.hpp"
 #include "obs/record.hpp"
+#include "sim/engine.hpp"
 
 using namespace casper;
 
@@ -162,6 +163,29 @@ TEST(IntervalTree, TraversalIsInsertionOrderIndependent) {
   const auto rev = run(true);
   ASSERT_EQ(fwd.size(), entries.size());
   EXPECT_EQ(fwd, rev);  // identical ORDER, not just identical sets
+}
+
+// Every access to one hot word shares `lo`. Ordering those by anything tied
+// to the heap priority degenerates into a spine as deep as the access count,
+// and the recursive insert then overflows a rank fiber's default stack.
+TEST(IntervalTree, HotWordStaysLogarithmicOnDefaultFiberStack) {
+  constexpr int kAccesses = 100000;
+  std::size_t depth = 0;
+  std::size_t size = 0;
+  sim::Engine::Options o;  // default stack_bytes
+  o.nranks = 1;
+  sim::Engine e(o, [&](sim::Context&) {
+    check::IntervalTree t;
+    for (int i = 0; i < kAccesses; ++i) {
+      t.insert(mk(64, 72, i % 8, static_cast<std::uint64_t>(i)));
+    }
+    depth = t.depth();
+    size = t.size();
+  });
+  e.run();
+  EXPECT_EQ(size, static_cast<std::size_t>(kAccesses));
+  // A random treap of n nodes is about 3 log2(n) deep; 17 = ceil(log2 1e5).
+  EXPECT_LE(depth, 4u * 17u);
 }
 
 // ---- conflict detection on native runs -------------------------------------

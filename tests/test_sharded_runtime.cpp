@@ -5,7 +5,8 @@
 // The conservative-lookahead engine guarantees cross-shard events execute in
 // (t, ...) order exactly as the single-shard scheduler would, so simulated
 // results are a deterministic fact of the workload, independent of how the
-// rank space is partitioned over host worker threads.
+// rank space is partitioned over host worker threads — under the unperturbed
+// tie order and under any perturb_seed.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -83,8 +84,10 @@ void fig5_body(mpi::Env& env, Outcome* out) {
 }
 
 Outcome run_fig5(int nodes, int shards, progress::Kind kind,
-                 bool oversub = false, bool casper_mode = false) {
+                 bool oversub = false, bool casper_mode = false,
+                 std::uint64_t perturb = 0) {
   RunConfig c;
+  c.perturb_seed = perturb;
   c.machine.profile = net::cray_xc30_regular();
   c.machine.topo.nodes = nodes;
   c.machine.topo.cores_per_node = casper_mode ? 2 : 1;
@@ -110,11 +113,12 @@ Outcome run_fig5(int nodes, int shards, progress::Kind kind,
 class ShardedRuntime : public ::testing::Test {};
 
 void expect_invariant(progress::Kind kind, bool oversub, bool casper_mode,
-                      const char* what) {
-  const Outcome ref = run_fig5(8, 1, kind, oversub, casper_mode);
+                      const char* what, std::uint64_t perturb = 0) {
+  const Outcome ref = run_fig5(8, 1, kind, oversub, casper_mode, perturb);
   ASSERT_GT(ref.rank0_end, 0) << what;
   for (int shards : {2, 4, 8}) {
-    const Outcome got = run_fig5(8, shards, kind, oversub, casper_mode);
+    const Outcome got =
+        run_fig5(8, shards, kind, oversub, casper_mode, perturb);
     EXPECT_EQ(ref.rank0_end, got.rank0_end)
         << what << ": virtual completion time changed at shards=" << shards;
     EXPECT_EQ(ref.window, got.window)
@@ -138,6 +142,15 @@ TEST_F(ShardedRuntime, Fig5InterruptModeShardInvariant) {
 
 TEST_F(ShardedRuntime, Fig5CasperModeShardInvariant) {
   expect_invariant(progress::Kind::None, false, true, "casper");
+}
+
+// Perturbation salts hash virtual-time facts of each tied party, so one
+// perturb seed picks the same interleaving whatever the shard layout.
+TEST_F(ShardedRuntime, Fig5PerturbedScheduleShardInvariant) {
+  expect_invariant(progress::Kind::None, false, true, "casper perturbed",
+                   0x5eedf00dULL);
+  expect_invariant(progress::Kind::Thread, true, false, "thread perturbed",
+                   0x1d);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Sharded-engine tests: shard-count invariance of virtual-time results,
 // run-to-run determinism under real worker threads, cross-shard event homing
 // (wake_at / homed post_event), the calendar's far-event spill path, and
-// per-shard stats merging. The shards=1 row of every sweep runs the classic
-// single-threaded scheduler, so equality across the sweep is exactly the
-// cross-shard-count determinism contract from DESIGN.md §12.
+// per-shard stats and schedule-trace merging. Equality across each shard
+// sweep is exactly the cross-shard-count determinism contract from
+// DESIGN.md §12.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -38,7 +39,9 @@ struct ExchangeResult {
   }
 };
 
-ExchangeResult run_exchange(int nranks, int shards, int iters) {
+ExchangeResult run_exchange(int nranks, int shards, int iters,
+                            std::vector<Engine::SchedRecord>* trace = nullptr,
+                            sim::SchedObserver* obs = nullptr) {
   ExchangeResult res;
   res.final_now.assign(static_cast<std::size_t>(nranks), 0);
   res.delivery_hash.assign(static_cast<std::size_t>(nranks), 0);
@@ -72,6 +75,8 @@ ExchangeResult run_exchange(int nranks, int shards, int iters) {
     }
     res.final_now[static_cast<std::size_t>(r)] = ctx.now();
   });
+  e.set_schedule_trace(trace);
+  e.set_sched_observer(obs);
   e.run();
   res.stats_messages = e.stats().get("test.messages");
   res.horizon = e.horizon();
@@ -92,6 +97,34 @@ TEST(SimEngineSharded, RunToRunDeterministicWithWorkerThreads) {
   const ExchangeResult a = run_exchange(24, 4, 10);
   const ExchangeResult b = run_exchange(24, 4, 10);
   EXPECT_EQ(a, b);
+}
+
+TEST(SimEngineSharded, ScheduleTraceMergesDeterministically) {
+  // Shard threads call the observer concurrently; it counts decisions.
+  struct Counter final : sim::SchedObserver {
+    std::atomic<std::size_t> n{0};
+    void on_schedule(Time, int) override {
+      n.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::vector<Engine::SchedRecord> first;
+  for (int run = 0; run < 3; ++run) {
+    std::vector<Engine::SchedRecord> trace;
+    Counter decisions;
+    run_exchange(24, 4, 10, &trace, &decisions);
+    ASSERT_EQ(trace.size(), decisions.n.load()) << "run " << run;
+    if (run == 0) {
+      ASSERT_FALSE(trace.empty());
+      first = trace;
+      continue;
+    }
+    ASSERT_EQ(trace.size(), first.size()) << "run " << run;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      ASSERT_EQ(trace[i].t, first[i].t) << "run " << run << " record " << i;
+      ASSERT_EQ(trace[i].rank, first[i].rank)
+          << "run " << run << " record " << i;
+    }
+  }
 }
 
 TEST(SimEngineSharded, ShardsClampedToRanks) {
@@ -161,7 +194,7 @@ TEST(SimEngineSharded, OverdueLocalPostAfterBaseAdvance) {
   // then posts a short-delay local event *below* the calendar base. Such
   // "overdue" events must still execute (they pop from the spill heap); a
   // base-relative calendar would strand them and deadlock. Exercised for
-  // the single-shard calendar and a sharded run.
+  // one shard and a sharded run.
   for (int shards : {1, 2}) {
     Time hit_at = 0;
     bool woken = false;
