@@ -8,6 +8,8 @@
 //            that preserves the curve shapes and finishes in seconds.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -163,14 +165,25 @@ inline double host_best_of_ms(int runs, const std::function<void()>& body) {
   return best;
 }
 
+/// Peak resident set size of this process so far, in KiB.
+inline long peak_rss_kb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
 /// Render the standard "host" block for BENCH_*.json: the best-of-N
-/// wall-clock of the bench's casper-mode sweep.
-inline std::string host_block_json(double sweep_ms, int runs) {
+/// wall-clock of the bench's casper-mode sweep, and the process's peak RSS
+/// when `rss_kb` is non-negative.
+inline std::string host_block_json(double sweep_ms, int runs,
+                                   long rss_kb = -1) {
   char buf[128];
   std::snprintf(buf, sizeof buf,
-                "{\"casper_sweep_ms\": %.3f, \"best_of\": %d}", sweep_ms,
+                "{\"casper_sweep_ms\": %.3f, \"best_of\": %d", sweep_ms,
                 runs);
-  return buf;
+  std::string out = buf;
+  if (rss_kb >= 0) out += ", \"peak_rss_kb\": " + std::to_string(rss_kb);
+  return out + "}";
 }
 
 }  // namespace casper::bench

@@ -52,9 +52,10 @@ int main(int argc, char** argv) {
 
   // --json: write BENCH_fig6a.json for the perf-regression gate. The rows
   // are virtual time (exact-match against the baseline); the host block is
-  // the wall-clock of the p=64 casper_8g run, best-of-5; the metrics block
-  // comes from a separate instrumented p=64 run (instrumentation is never
-  // inside the timed loop).
+  // the wall-clock of the p=64 casper_8g run, best-of-5, and the peak RSS of
+  // the whole process (the sweep above dominates it: Casper window state at
+  // the largest p); the metrics block comes from a separate instrumented
+  // p=64 run (instrumentation is never inside the timed loop).
   if (bench::has_flag(argc, argv, "--json")) {
     auto spec64 = [&](Mode m, int ghosts) {
       RunSpec s;
@@ -76,7 +77,7 @@ int main(int argc, char** argv) {
     bench::fig6_alltoall_acc_us(s, 1);
     if (!report::write_bench_json_file(
             "BENCH_fig6a.json", "fig6a", t, &rec.metrics(),
-            bench::host_block_json(sweep_ms, kRuns))) {
+            bench::host_block_json(sweep_ms, kRuns, bench::peak_rss_kb()))) {
       std::cerr << "fig6a: cannot write BENCH_fig6a.json\n";
       return 1;
     }

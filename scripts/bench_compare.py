@@ -10,6 +10,10 @@ The ratchet contract (see DESIGN.md "Hot-path memory model"):
     benches' "host" blocks -- are wall-clock measurements and are compared
     with a tolerance band (--tol, fractional). Rates must not drop below
     baseline*(1-tol); latencies must not rise above baseline*(1+tol).
+  - Peak RSS: a bench whose baseline host block records "peak_rss_kb"
+    (getrusage high-water mark of the bench process) must stay within
+    baseline*(1+tol), lowest run compared. Memory is a near-deterministic
+    function of the simulated state, so this ratchets memory growth.
   - Best-of-N: every bench is run N times (the run*/ directories); the best
     host number across runs is the one compared, so a single noisy run never
     fails the gate.
@@ -43,6 +47,10 @@ def engine_host_score(doc):
 
 def fig_host_ms(doc):
     return doc.get("host", {}).get("casper_sweep_ms")
+
+
+def fig_peak_rss_kb(doc):
+    return doc.get("host", {}).get("peak_rss_kb")
 
 
 def best_run(name, docs):
@@ -225,6 +233,31 @@ def check_adaptive_ordering(doc, balanced_tol=0.05):
     return rc
 
 
+def compare_peak_rss(name, docs, base, tol):
+    base_kb = fig_peak_rss_kb(base)
+    if base_kb is None:
+        return 0
+    cand_kb = min(
+        (fig_peak_rss_kb(d) for d in docs if fig_peak_rss_kb(d) is not None),
+        default=None,
+    )
+    if cand_kb is None:
+        return fail(f"{name}: runs recorded no peak_rss_kb")
+    ceil = base_kb * (1.0 + tol)
+    status = "ok" if cand_kb <= ceil else "REGRESSION"
+    print(
+        f"  {name} peak_rss_kb     base={base_kb:>9d} "
+        f"best={cand_kb:>9d} ({cand_kb / base_kb * 100.0 - 100.0:+6.1f}%)"
+        f"  {status}"
+    )
+    if cand_kb > ceil:
+        return fail(
+            f"{name}: peak RSS grew beyond {tol:.0%}: "
+            f"{cand_kb} KiB > {ceil:.0f} KiB"
+        )
+    return 0
+
+
 def compare_fig(name, docs, base, tol):
     rc = 0
     best = docs[best_run(name, docs)]
@@ -233,6 +266,7 @@ def compare_fig(name, docs, base, tol):
     rc |= compare_exact(name, "rows", best.get("rows"), base.get("rows"))
     rc |= compare_exact(name, "metrics", best.get("metrics"),
                         base.get("metrics"))
+    rc |= compare_peak_rss(name, docs, base, tol)
     base_ms = fig_host_ms(base)
     cand_ms = min(
         (fig_host_ms(d) for d in docs if fig_host_ms(d) is not None),

@@ -32,30 +32,36 @@ void apply_bug(mwcas::MwConfig& mc, MwBug bug) {
 
 bool mw_outcomes_differ(const MwCase& fc, const MwOutcome& a,
                         const MwOutcome& b) {
-  // Thread-mode progress polling quantizes AM service instants, and a
-  // dynamic-LB Casper config routes through load state consumed in arrival
-  // order; in both, equal-time arrivals are legal ties whose resolution can
-  // shift op timing and therefore flip contended CAS races. Every resolution
-  // is a legal linearizable execution — each run is still individually gated
-  // on checker/oracle/race/atomicity — but no cross-schedule bit-match claim
-  // is sound there.
-  // An active fault plan is tie-prone too: injected delays and the reliable
-  // layer's retransmission timers are drawn/armed in arrival order.
-  // So is multi-ghost Casper, even statically bound: clients bound to
-  // DIFFERENT ghost service loops have deterministic, equal-length service
-  // intervals that can retire at the same virtual instant (one ghost
-  // serializes everything; two don't), and the tie order decides which
-  // contended CAS lands first.
-  const bool timed_ties =
-      fc.mode == KvMode::Thread ||
-      (fc.mode == KvMode::Casper &&
-       (fc.dynamic != core::DynamicLb::None || fc.ghosts > 1)) ||
-      fc.fault_plan.active();
-  if (timed_ties) return false;
-  return a.semantic_hash != b.semantic_hash ||
-         a.fingerprint != b.fingerprint ||
-         a.history_hash != b.history_hash || a.end_time != b.end_time ||
-         !(a.stats == b.stats);
+  // An active fault plan is exempt from every comparison: injected delays,
+  // the reliable layer's retransmission timers and ghost kills act in
+  // arrival order, so even which ops a kill interrupts can move.
+  if (fc.fault_plan.active()) return false;
+  // Gated in every mode: counts the client programs fix on their own. Every
+  // schedule runs each client's whole program, and without a fault plan no
+  // op is interrupted or recovered. Over perturbed schedules 1-31 of the
+  // reduced corpus seeds 1-200, none of these ever moved, in any mode.
+  //
+  // Exempt, each with the mechanism that moves it:
+  //  * end_time, history_hash: two clients' requests can reach one serial
+  //    server -- the target process in original mode, the ghost of a
+  //    single-ghost Casper node -- at the same virtual instant, and the tie
+  //    order moves completion times (seed 46, single-ghost static Casper).
+  //  * semantic_hash, fingerprint, and the counters that record race
+  //    outcomes (success, fail, installs, helps, help_completes, rollbacks,
+  //    retries, stale_abandons): when the tied requests are contending CAS
+  //    steps on one word, the tie order decides which lands first, and with
+  //    it the winner, the final heap words and the helping work (seed 168
+  //    in original mode; seeds 145 and 195, single-ghost static Casper).
+  // Thread-mode poll quantization, dynamic-LB routing that consumes load
+  // state or an RNG stream in arrival order, and multi-ghost service loops
+  // retiring AMs at one instant make the same ties more frequent. Every tie
+  // resolution is a legal linearizable execution, and each run is still
+  // gated on its own by the checker, oracle, race analyzer and atomicity
+  // detector.
+  return a.checker_ops != b.checker_ops || a.stats.ops != b.stats.ops ||
+         a.stats.reads != b.stats.reads ||
+         a.stats.interrupted != b.stats.interrupted ||
+         a.stats.recoveries != b.stats.recoveries;
 }
 
 const char* to_string(MwBug b) {
@@ -583,9 +589,8 @@ MwCampaignResult run_mw_campaign(const MwCampaignOptions& opt) {
         have_ref = true;
         continue;
       }
-      // Exact-match invariance across schedules for event-driven configs
-      // (see mw_outcomes_differ for why Thread / dynamic-LB Casper are
-      // exempt — their runs are still gated on correctness above).
+      // Cross-schedule invariance of the program-fixed counts (see
+      // mw_outcomes_differ for the fields tie order may legally move).
       if (mw_outcomes_differ(fc, ref, out)) {
         res.failures.push_back(mw_failure(
             fc, p, "mwcas-mismatch", opt, [&](std::size_t n) {

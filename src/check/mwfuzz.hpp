@@ -14,9 +14,8 @@
 //   * the oracle diverges / the atomicity detector fires / the race
 //     analyzer flags a conflict ("mwcas-oracle-divergence": the protocol
 //     must be entirely atomic-class RMA, so ANY conflict is a bug), or
-//   * a perturbed schedule's outcome differs from schedule 0
-//     ("mwcas-mismatch": history hash, heap fingerprint, end time, and the
-//     cluster-wide protocol counters must be exact-match invariant).
+//   * a perturbed schedule's outcome differs from schedule 0 in a count
+//     the client programs fix ("mwcas-mismatch"; see mw_outcomes_differ).
 //
 // mwcas_proof() is the positive gate: for EACH planted bug (skip-help,
 // torn-install, stale-status — see MwConfig) it scans seeds under contention
@@ -110,19 +109,15 @@ MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
                       int shards = 1,
                       std::size_t op_limit = ~std::size_t{0});
 
-/// The cross-schedule invariance gate. Original mode and single-ghost
-/// statically-routed Casper are event-driven with one serialization point,
-/// so everything must match bit-for-bit: timed history, timing-free semantic
-/// history, heap fingerprint, end time, and the cluster-wide protocol
-/// counters. Three configs have LEGAL service-time ties — Thread mode
-/// (progress polling quantizes service instants), Casper with a dynamic LB
-/// policy (routing consumes load state / an RNG stream in arrival order),
-/// and multi-ghost Casper (two service loops can retire AMs at the same
-/// virtual instant; one ghost serializes everything) — where tie resolution
-/// can shift op timing and flip contended races; every resolution is still a
-/// legal linearizable execution (each run is individually gated on
-/// checker/oracle/race/atomicity), so no cross-schedule comparison is made
-/// there. Active fault plans are tie-prone for the same reason.
+/// The cross-schedule invariance gate: true when two schedules of one case
+/// disagree on a count the client programs fix on their own (checked ops,
+/// MWCAS ops, reads, interrupted ops, recoveries). Completion times, the
+/// timed and semantic histories, the heap fingerprint and the race-outcome
+/// counters are exempt in every mode: two requests can reach one serial
+/// server at the same virtual instant, and the tie order moves completion
+/// times and can decide which contended CAS lands first. Every resolution is
+/// a legal linearizable execution, and each run is individually gated on
+/// checker/oracle/race/atomicity. Active fault plans are exempt entirely.
 bool mw_outcomes_differ(const MwCase& fc, const MwOutcome& a,
                         const MwOutcome& b);
 

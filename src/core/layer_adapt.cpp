@@ -41,7 +41,7 @@ std::size_t align16(std::size_t v) {
 }
 }  // namespace
 
-void CasperLayer::init_adapt(CspWin& cw) {
+void CasperLayer::init_adapt(CspWin& cw) const {
   auto& ad = cw.adapt;
   ad.on = true;
   const std::size_t nnodes = node_ghosts_.size();
@@ -189,8 +189,7 @@ void CasperLayer::adapt_barrier(Env& env, const mpi::Comm& c) {
   // map reads against registrations in earlier conservative windows.
   std::vector<CspWin*> wins;
   {
-    std::unique_lock<std::mutex> lk(winmap_mu_, std::defer_lock);
-    if (rt_->engine().sharded()) lk.lock();
+    auto lk = registry_lock();
     wins.reserve(winmap_.size());
     for (auto& [impl, cw] : winmap_) {
       (void)impl;

@@ -167,7 +167,23 @@ class CasperLayer final : public mpi::Layer {
   int adapt_policy(const mpi::Win& user_win);
   std::uint64_t plan_generation(const mpi::Win& user_win, int origin);
 
+  /// Window-state registry introspection (tests): the shared state a user
+  /// handle resolves to, the one registered under an allocation sequence
+  /// number (what a ghost resolves to; null once freed), the number of
+  /// windows registered by user handle, and the length of an origin's
+  /// per-ghost counters.
+  const void* window_state(const mpi::Win& user_win);
+  const void* window_state_of_seq(int seq);
+  std::size_t windows_by_handle();
+  std::size_t ghost_counter_slots(const mpi::Win& user_win, int origin);
+
  private:
+  /// One rank's segment in its node buffer, as exchanged at window build.
+  struct Place {
+    unsigned long long offset;
+    unsigned long long size;
+  };
+
   /// Per-user-target placement of window memory.
   struct TargetInfo {
     int node = 0;
@@ -240,8 +256,8 @@ class CasperLayer final : public mpi::Layer {
     /// Bitset mirror of access_group, indexed by user comm rank: the
     /// per-op epoch check must not scan the group vector.
     std::vector<std::uint64_t> access_mask;
-    std::vector<std::uint64_t> ops_to_ghost;    // by ghost world rank
-    std::vector<std::uint64_t> bytes_to_ghost;  // by ghost world rank
+    std::vector<std::uint64_t> ops_to_ghost;    // by ghost_slot()
+    std::vector<std::uint64_t> bytes_to_ghost;  // by ghost_slot()
     std::uint64_t rr = 0;  ///< round-robin cursor for the "random" policy
     PlanCache plans;       ///< memoized static-binding splits (this origin)
     /// Adaptive progress control (cfg.adaptive.enabled only; see
@@ -255,10 +271,11 @@ class CasperLayer final : public mpi::Layer {
     progress::AdaptSample adapt_acc;
   };
 
-  /// All internal state Casper keeps for one user window. One canonical
-  /// instance is shared by all member ranks (first finisher registers it);
-  /// only the node shared-memory windows differ per node, so they are kept
-  /// per node.
+  /// All internal state Casper keeps for one user window. Built once, by the
+  /// first member rank through build_windows, and shared by every member
+  /// rank, users and ghosts alike (the one-translation-table-per-team
+  /// pattern); only the node shared-memory windows differ per node, so they
+  /// are kept per node.
   struct CspWin {
     mpi::Win user_win;  ///< handle returned to the application
     std::vector<mpi::Win> shm_by_node;  ///< node shared-memory windows
@@ -268,7 +285,7 @@ class CasperLayer final : public mpi::Layer {
     std::vector<TargetInfo> tgt;          // per user comm rank
     std::vector<std::size_t> node_total;  // per node: shared buffer bytes
     std::vector<OriginEp> ep;             // per user comm rank
-    int seq = 0;  ///< allocation sequence number (ghost free matching)
+    int seq = 0;  ///< allocation sequence number (seq_wins_ key)
     /// Fault-injection scoping (satellite fix for the global-flag bypass):
     /// only a window whose sequence number matches Config::Fault selection
     /// bypasses the plan cache / applies the origin-dependent segment flip.
@@ -303,10 +320,17 @@ class CasperLayer final : public mpi::Layer {
   void user_finalize(mpi::Env& env);
   /// Node user-masters send `cmd` to their node's ghosts.
   void notify_ghosts(mpi::Env& env, const GhostCmd& cmd);
-  /// Collective (over ALL world ranks) creation of the internal windows.
+  /// Collective (over ALL world ranks) creation of the internal windows of
+  /// window `seq`. The first member to finish builds the window's CspWin and
+  /// registers it in seq_wins_; every later member attaches to it.
   std::shared_ptr<CspWin> build_windows(mpi::Env& env, std::size_t bytes,
                                         std::size_t du, unsigned epochs,
-                                        const mpi::Info& info);
+                                        const mpi::Info& info, int seq);
+  /// The placement and per-origin state of a new window (pure: depends only
+  /// on the allgathered placements and the window's parameters).
+  std::shared_ptr<CspWin> make_window_state(const std::vector<Place>& places,
+                                            std::size_t du, unsigned epochs,
+                                            int seq) const;
   void free_internal_windows(mpi::Env& env, CspWin& cw);
 
   // --- redirection ---------------------------------------------------------
@@ -349,7 +373,7 @@ class CasperLayer final : public mpi::Layer {
   // --- adaptive progress control (layer_adapt.cpp) -------------------------
   /// Size the board/replicas and seed the initial map so that adaptive
   /// resolution routes exactly like the static binding until a remap.
-  void init_adapt(CspWin& cw);
+  void init_adapt(CspWin& cw) const;
   /// Issue-time attribution of one routed (sub)op's demand to its binding
   /// item, into the origin's PRIVATE accumulators.
   void adapt_note(CspWin& cw, OriginEp& ep, const TargetInfo& ti,
@@ -424,6 +448,16 @@ class CasperLayer final : public mpi::Layer {
 
   // topology-derived, computed once in the constructor
   std::vector<bool> is_ghost_;                 // by world rank
+  /// By world rank: the user comm rank of a user (COMM_USER_WORLD keeps
+  /// world order), the index among all ghosts of a ghost.
+  std::vector<int> user_rank_of_;
+  std::vector<int> ghost_slot_of_;
+  int total_ghosts_ = 0;
+  /// Index of ghost `g` (world rank) into the per-origin ghost counters.
+  std::size_t ghost_slot(int g) const {
+    return static_cast<std::size_t>(
+        ghost_slot_of_[static_cast<std::size_t>(g)]);
+  }
   std::vector<std::vector<int>> node_ghosts_;  // per node: ghost world ranks
   std::vector<std::vector<int>> node_users_;   // per node: user world ranks
   std::vector<int> node_master_;               // per node: first user rank
@@ -441,24 +475,23 @@ class CasperLayer final : public mpi::Layer {
 
   mpi::Comm user_world_;
   std::vector<mpi::Comm> node_comm_of_;  // per world rank: its node comm
+  /// Managed windows by user handle (the users' lookup on every call).
   std::map<mpi::WinImpl*, std::shared_ptr<CspWin>> winmap_;
-  /// Ghost-side record of internal windows, per ghost world rank, matched by
-  /// sequence number on free.
-  std::map<int, std::vector<std::shared_ptr<CspWin>>> ghost_wins_;
-  /// Guards winmap_ (lookups AND registration), the ghost_wins_ map
-  /// structure, and the one-time user_world_ publication when the engine is
+  /// Every live window's state by allocation sequence number: where a
+  /// member attaches at build time and a ghost finds the window it is told
+  /// to free. Entries leave when the window is freed.
+  std::map<int, std::shared_ptr<CspWin>> seq_wins_;
+  /// Guards winmap_, seq_wins_, the handles members record into a shared
+  /// CspWin, and the one-time user_world_ publication when the engine is
   /// sharded: member ranks on different worker threads can allocate or free
   /// windows inside the same conservative window, so a find can otherwise
-  /// race a concurrent insert. Never locked (defer_lock) in single-shard
-  /// runs. Held only around map/pointer accesses — NEVER across a pmpi_ call
-  /// (those can switch fibers, and another fiber on the same worker thread
-  /// relocking would deadlock).
+  /// race a concurrent insert. Never locked in single-shard runs. Held only
+  /// around map/pointer accesses and the pure state build — NEVER across a
+  /// pmpi_ call (those can switch fibers, and another fiber on the same
+  /// worker thread relocking would deadlock).
   std::mutex winmap_mu_;
-  /// ghost_wins_[me] with the map-structure race handled: operator[] may
-  /// insert, so the slot is created under winmap_mu_ when sharded. The
-  /// returned vector is only ever mutated by rank `me`'s own fiber (map
-  /// references are stable under later inserts).
-  std::vector<std::shared_ptr<CspWin>>& my_ghost_wins(int me);
+  /// winmap_mu_, locked only when the engine is sharded.
+  std::unique_lock<std::mutex> registry_lock();
   /// Per-world-rank count of managed window allocations (sequence source).
   std::vector<int> alloc_seq_;
 };

@@ -276,8 +276,8 @@ int CasperLayer::choose_dynamic_ghost(Env& env, CspWin& cw, int origin,
     case DynamicLb::OpCounting: {
       int best = ng[0];
       for (int g : ng) {
-        if (ep.ops_to_ghost[static_cast<std::size_t>(g)] <
-            ep.ops_to_ghost[static_cast<std::size_t>(best)]) {
+        if (ep.ops_to_ghost[ghost_slot(g)] <
+            ep.ops_to_ghost[ghost_slot(best)]) {
           best = g;
         }
       }
@@ -286,8 +286,8 @@ int CasperLayer::choose_dynamic_ghost(Env& env, CspWin& cw, int origin,
     case DynamicLb::ByteCounting: {
       int best = ng[0];
       for (int g : ng) {
-        if (ep.bytes_to_ghost[static_cast<std::size_t>(g)] <
-            ep.bytes_to_ghost[static_cast<std::size_t>(best)]) {
+        if (ep.bytes_to_ghost[ghost_slot(g)] <
+            ep.bytes_to_ghost[ghost_slot(best)]) {
           best = g;
         }
       }
@@ -434,8 +434,8 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
   if (dynamic_applicable(cw, me_u, target, kind)) {
     const DynamicLb lb = effective_lb(cw, ep);
     const int ghost = choose_dynamic_ghost(env, cw, me_u, ti.node, bytes);
-    ++ep.ops_to_ghost[static_cast<std::size_t>(ghost)];
-    ep.bytes_to_ghost[static_cast<std::size_t>(ghost)] += bytes;
+    ++ep.ops_to_ghost[ghost_slot(ghost)];
+    ep.bytes_to_ghost[ghost_slot(ghost)] += bytes;
     if (cw.adapt.on) {
       adapt_note(cw, ep, ti, ti.offset + disp_bytes, bytes);
       auto& acc = ep.adapt_acc;
@@ -491,8 +491,8 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
       mpi::data_bytes(subs[0].tcount, subs[0].tdt) == bytes) {
     // Fast path: whole op through one ghost, original datatypes preserved.
     const SubOp& s = subs[0];
-    ++ep.ops_to_ghost[static_cast<std::size_t>(s.ghost)];
-    ep.bytes_to_ghost[static_cast<std::size_t>(s.ghost)] += bytes;
+    ++ep.ops_to_ghost[ghost_slot(s.ghost)];
+    ep.bytes_to_ghost[ghost_slot(s.ghost)] += bytes;
     if (rec != nullptr) ++rec->metrics().counter("casper.binding_fastpath");
     note_redirect(s.ghost, bytes);
     numa_hint(s.ghost);
@@ -542,9 +542,9 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
   if (fetches) gather.resize(bytes);
 
   for (const SubOp& s : subs) {
-    ++ep.ops_to_ghost[static_cast<std::size_t>(s.ghost)];
+    ++ep.ops_to_ghost[ghost_slot(s.ghost)];
     const std::size_t sbytes = mpi::data_bytes(s.tcount, s.tdt);
-    ep.bytes_to_ghost[static_cast<std::size_t>(s.ghost)] += sbytes;
+    ep.bytes_to_ghost[ghost_slot(s.ghost)] += sbytes;
     note_redirect(s.ghost, sbytes);
     numa_hint(s.ghost);
     switch (kind) {

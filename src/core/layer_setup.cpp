@@ -108,13 +108,19 @@ void CasperLayer::setup_topology() {
   node_master_.assign(static_cast<std::size_t>(topo.nodes), -1);
   node_comm_of_.assign(static_cast<std::size_t>(n), nullptr);
   alloc_seq_.assign(static_cast<std::size_t>(n), 0);
+  user_rank_of_.assign(static_cast<std::size_t>(n), -1);
+  ghost_slot_of_.assign(static_cast<std::size_t>(n), -1);
 
+  int users = 0;
+  total_ghosts_ = 0;
   for (int r = 0; r < n; ++r) {
     const int node = topo.node_of(r);
     if (is_ghost_rank(topo, cfg_, r)) {
       is_ghost_[static_cast<std::size_t>(r)] = true;
+      ghost_slot_of_[static_cast<std::size_t>(r)] = total_ghosts_++;
       node_ghosts_[static_cast<std::size_t>(node)].push_back(r);
     } else {
+      user_rank_of_[static_cast<std::size_t>(r)] = users++;
       node_users_[static_cast<std::size_t>(node)].push_back(r);
       if (node_master_[static_cast<std::size_t>(node)] < 0) {
         node_master_[static_cast<std::size_t>(node)] = r;
@@ -149,8 +155,7 @@ void CasperLayer::setup_comms(Env& env) {
     // threads would race, so the first arrival writes under the lock and the
     // rest just observe it (each rank reads user_world_ only after its own
     // setup_comms, which synchronized on winmap_mu_).
-    std::unique_lock<std::mutex> lk(winmap_mu_, std::defer_lock);
-    if (rt_->engine().sharded()) lk.lock();
+    auto lk = registry_lock();
     if (user_world_ == nullptr) user_world_ = uw;
   }
   // Node communicator including ghosts (used for the shared-memory mapping).
@@ -196,28 +201,20 @@ void CasperLayer::ghost_loop(Env& env) {
     pmpi_->recv(env, &cmd, static_cast<int>(sizeof(cmd)), mpi::Dt::Byte,
                 mpi::kAnySource, kTagCmd, rt_->world());
     switch (cmd.code) {
-      case GhostCmd::kWinAlloc: {
-        auto cw = build_windows(env, 0, static_cast<std::size_t>(
-                                            cmd.disp_unit),
-                                cmd.epochs, mpi::Info{});
-        cw->seq = cmd.seq;
-        cw->flip_fault = cfg_.fault.flip_segment_binding &&
-                         (cfg_.fault.flip_only_seq < 0 ||
-                          cfg_.fault.flip_only_seq == cmd.seq);
-        my_ghost_wins(env.world_rank()).push_back(std::move(cw));
+      case GhostCmd::kWinAlloc:
+        build_windows(env, 0, static_cast<std::size_t>(cmd.disp_unit),
+                      cmd.epochs, mpi::Info{}, cmd.seq);
         break;
-      }
       case GhostCmd::kWinFree: {
-        auto& mine = my_ghost_wins(env.world_rank());
-        auto it = std::find_if(mine.begin(), mine.end(),
-                               [&cmd](const auto& cw) {
-                                 return cw->seq == cmd.seq;
-                               });
-        MMPI_REQUIRE(it != mine.end(),
+        std::shared_ptr<CspWin> cw;
+        {
+          auto lk = registry_lock();
+          auto it = seq_wins_.find(cmd.seq);
+          if (it != seq_wins_.end()) cw = it->second;
+        }
+        MMPI_REQUIRE(cw != nullptr,
                      "casper ghost: win-free for unknown window seq %d",
                      cmd.seq);
-        auto cw = *it;
-        mine.erase(it);
         free_internal_windows(env, *cw);
         break;
       }
@@ -228,17 +225,6 @@ void CasperLayer::ghost_loop(Env& env) {
         MMPI_REQUIRE(false, "casper ghost: bad command %d", cmd.code);
     }
   }
-}
-
-std::vector<std::shared_ptr<CasperLayer::CspWin>>& CasperLayer::my_ghost_wins(
-    int me) {
-  // operator[] may create the slot (a map-structure mutation); ghosts on
-  // other shards can be doing the same concurrently. The returned vector is
-  // only ever touched by rank `me`'s fiber, and std::map references stay
-  // valid across later inserts, so callers use it outside the lock.
-  std::unique_lock<std::mutex> lk(winmap_mu_, std::defer_lock);
-  if (rt_->engine().sharded()) lk.lock();
-  return ghost_wins_[me];
 }
 
 void CasperLayer::user_finalize(Env& env) {

@@ -14,7 +14,25 @@ using mpi::Win;
 
 namespace {
 std::size_t align64(std::size_t v) { return (v + 63) & ~std::size_t{63}; }
+
+/// Bytes of a node's shared buffer: its users' segments, 64-byte aligned.
+template <class Place>
+std::size_t node_bytes(const std::vector<int>& users,
+                       const std::vector<Place>& places) {
+  std::size_t total = 0;
+  for (int u : users) {
+    total += align64(
+        static_cast<std::size_t>(places[static_cast<std::size_t>(u)].size));
+  }
+  return total;
+}
 }  // namespace
+
+std::unique_lock<std::mutex> CasperLayer::registry_lock() {
+  std::unique_lock<std::mutex> lk(winmap_mu_, std::defer_lock);
+  if (rt_->engine().sharded()) lk.lock();
+  return lk;
+}
 
 CasperLayer::CspWin* CasperLayer::managed(const Win& w) {
   // Sharded, a lookup can race another rank's registration of a DIFFERENT
@@ -22,8 +40,7 @@ CasperLayer::CspWin* CasperLayer::managed(const Win& w) {
   // nothing, but concurrent find/insert is still a data race), so lookups
   // take the registry lock too. Uncontended in practice; never locked when
   // single-shard.
-  std::unique_lock<std::mutex> lk(winmap_mu_, std::defer_lock);
-  if (rt_->engine().sharded()) lk.lock();
+  auto lk = registry_lock();
   auto it = winmap_.find(w.get());
   return it == winmap_.end() ? nullptr : it->second.get();
 }
@@ -36,7 +53,7 @@ CasperLayer::CspWin& CasperLayer::managed_checked(const Win& w,
 }
 
 int CasperLayer::my_user_rank(Env& env) const {
-  return user_world_->rank_of_world(env.world_rank());
+  return user_rank_of_[static_cast<std::size_t>(env.world_rank())];
 }
 
 Win CasperLayer::win_allocate(Env& env, std::size_t bytes, std::size_t du,
@@ -49,8 +66,9 @@ Win CasperLayer::win_allocate(Env& env, std::size_t bytes, std::size_t du,
     ++rt_->engine().stats_local().counter("casper_unmanaged_windows");
     return pmpi_->win_allocate(env, bytes, du, info, c, base);
   }
+  const int me = env.world_rank();
   const unsigned epochs = parse_epochs(info);
-  const int seq = alloc_seq_[static_cast<std::size_t>(env.world_rank())]++;
+  const int seq = alloc_seq_[static_cast<std::size_t>(me)]++;
 
   GhostCmd cmd;
   cmd.code = GhostCmd::kWinAlloc;
@@ -59,120 +77,57 @@ Win CasperLayer::win_allocate(Env& env, std::size_t bytes, std::size_t du,
   cmd.seq = seq;
   notify_ghosts(env, cmd);
 
-  auto cw = build_windows(env, bytes, du, epochs, info);
-  cw->seq = seq;
-  cw->flip_fault = cfg_.fault.flip_segment_binding &&
-                   (cfg_.fault.flip_only_seq < 0 ||
-                    cfg_.fault.flip_only_seq == seq);
+  auto cw = build_windows(env, bytes, du, epochs, info, seq);
 
   // The user-visible window: a window over COMM_USER_WORLD exposing the same
   // shared segments. The application synchronizes and communicates on this
   // handle; Casper intercepts and redirects every call.
-  const int me_u = my_user_rank(env);
-  const int my_node = rt_->topo().node_of(env.world_rank());
-  const auto& ti = cw->tgt[static_cast<std::size_t>(me_u)];
-  std::byte* seg_base = nullptr;
-  {
-    // my segment base inside the shm window
-    const Comm& nc = node_comm_of_[static_cast<std::size_t>(env.world_rank())];
-    const int my_nc = nc->rank_of_world(env.world_rank());
-    seg_base = rt_->p_shared_query(
-                   env, cw->shm_by_node[static_cast<std::size_t>(my_node)],
-                   my_nc)
-                   .base;
-  }
-  cw->user_win =
-      pmpi_->win_create(env, seg_base, ti.size, du, info, user_world_);
+  const auto& ti = cw->tgt[static_cast<std::size_t>(my_user_rank(env))];
+  const Win& shm =
+      cw->shm_by_node[static_cast<std::size_t>(rt_->topo().node_of(me))];
+  const Comm& nc = node_comm_of_[static_cast<std::size_t>(me)];
+  std::byte* seg_base =
+      rt_->p_shared_query(env, shm, nc->rank_of_world(me)).base;
+  Win uw = pmpi_->win_create(env, seg_base, ti.size, du, info, user_world_);
   *base = seg_base;
 
-  // One canonical CspWin per user window, shared by all member ranks: the
-  // first rank to get here registers its instance; later ranks only merge
-  // their node's shared-memory window handle into it. Pure map/pointer work,
-  // so holding the registry lock here (sharded) is safe — no pmpi_ calls.
-  std::unique_lock<std::mutex> lk(winmap_mu_, std::defer_lock);
-  if (rt_->engine().sharded()) lk.lock();
-  auto it = winmap_.find(cw->user_win.get());
-  if (it == winmap_.end()) {
-    winmap_[cw->user_win.get()] = cw;
+  // Every member got the same handle back; the first one here records it.
+  auto lk = registry_lock();
+  if (cw->user_win == nullptr) {
+    cw->user_win = uw;
+    winmap_[uw.get()] = cw;
     ++rt_->engine().stats_local().counter("casper_managed_windows");
-    return cw->user_win;
   }
-  it->second->shm_by_node[static_cast<std::size_t>(my_node)] =
-      cw->shm_by_node[static_cast<std::size_t>(my_node)];
-  return it->second->user_win;
+  return uw;
 }
 
-std::shared_ptr<CasperLayer::CspWin> CasperLayer::build_windows(
-    Env& env, std::size_t bytes, std::size_t du, unsigned epochs,
-    const mpi::Info& info) {
+std::shared_ptr<CasperLayer::CspWin> CasperLayer::make_window_state(
+    const std::vector<Place>& places, std::size_t du, unsigned epochs,
+    int seq) const {
   const auto& topo = rt_->topo();
-  const int me = env.world_rank();
-  const bool ghost = is_ghost_[static_cast<std::size_t>(me)];
-  const Comm& nc = node_comm_of_[static_cast<std::size_t>(me)];
-
   auto cw = std::make_shared<CspWin>();
   cw->epochs = epochs;
+  cw->seq = seq;
+  cw->flip_fault = cfg_.fault.flip_segment_binding &&
+                   (cfg_.fault.flip_only_seq < 0 ||
+                    cfg_.fault.flip_only_seq == seq);
   cw->shm_by_node.resize(static_cast<std::size_t>(topo.nodes));
 
-  // Step 1: allocate the node shared segment; ghosts contribute zero bytes
-  // but get the whole node buffer mapped into their "address space".
-  void* shm_base = nullptr;
-  const int my_node = topo.node_of(me);
-  auto& shm_win = cw->shm_by_node[static_cast<std::size_t>(my_node)];
-  shm_win = pmpi_->win_allocate_shared(env, ghost ? 0 : bytes, 1, info, nc,
-                                       &shm_base);
-
-  // Compute the node buffer's base and my segment's offset within it from
-  // the node-local segment layout.
-  const std::byte* node_base = rt_->p_shared_query(env, shm_win, 0).base;
-  std::size_t my_offset = 0;
-  std::size_t node_total = 0;
-  for (int r = 0; r < nc->size(); ++r) {
-    auto seg = rt_->p_shared_query(env, shm_win, r);
-    if (nc->world_rank(r) == me) {
-      my_offset = static_cast<std::size_t>(seg.base - node_base);
-    }
-    node_total += align64(seg.size);
+  cw->node_total.reserve(node_users_.size());
+  for (const auto& users : node_users_) {
+    cw->node_total.push_back(node_bytes(users, places));
   }
 
-  // Step 2: exchange every rank's (offset, size) so all origins can
-  // translate target displacements into ghost-frame displacements.
-  struct Place {
-    unsigned long long offset;
-    unsigned long long size;
-  };
-  std::vector<Place> places(static_cast<std::size_t>(topo.nranks()));
-  Place mine{my_offset, ghost ? 0ull : static_cast<unsigned long long>(bytes)};
-  pmpi_->allgather(env, &mine, static_cast<int>(sizeof(Place)),
-                   mpi::Dt::Byte, places.data(), rt_->world());
-
-  cw->node_total.assign(static_cast<std::size_t>(topo.nodes), 0);
-  for (int node = 0; node < topo.nodes; ++node) {
-    std::size_t total = 0;
-    for (int u : node_users_[static_cast<std::size_t>(node)]) {
-      total += align64(
-          static_cast<std::size_t>(places[static_cast<std::size_t>(u)].size));
-    }
-    cw->node_total[static_cast<std::size_t>(node)] = total;
-  }
-
-  const int users = user_world_ ? user_world_->size()
-                                : topo.nodes * (topo.cores_per_node -
-                                                cfg_.ghosts_per_node);
-  cw->tgt.resize(static_cast<std::size_t>(users));
-  cw->ep.resize(static_cast<std::size_t>(users));
+  const auto users = static_cast<std::size_t>(topo.nranks() - total_ghosts_);
+  cw->tgt.resize(users);
+  cw->ep.resize(users);
   for (int node = 0; node < topo.nodes; ++node) {
     const auto& nu = node_users_[static_cast<std::size_t>(node)];
     const auto& ng = node_ghosts_[static_cast<std::size_t>(node)];
     for (std::size_t li = 0; li < nu.size(); ++li) {
       const int w = nu[li];
-      // user comm rank == position among user ranks sorted by world rank;
-      // world split with key=world preserves order, so compute directly.
-      int u = 0;
-      for (int x = 0; x < w; ++x) {
-        if (!is_ghost_[static_cast<std::size_t>(x)]) ++u;
-      }
-      auto& ti = cw->tgt[static_cast<std::size_t>(u)];
+      auto& ti = cw->tgt[static_cast<std::size_t>(
+          user_rank_of_[static_cast<std::size_t>(w)])];
       ti.node = node;
       ti.offset =
           static_cast<std::size_t>(places[static_cast<std::size_t>(w)].offset);
@@ -195,17 +150,43 @@ std::shared_ptr<CasperLayer::CspWin> CasperLayer::build_windows(
     }
   }
   for (auto& ep : cw->ep) {
-    ep.tl.resize(static_cast<std::size_t>(users));
-    ep.access_mask.assign((static_cast<std::size_t>(users) + 63) / 64, 0);
-    ep.ops_to_ghost.assign(static_cast<std::size_t>(topo.nranks()), 0);
-    ep.bytes_to_ghost.assign(static_cast<std::size_t>(topo.nranks()), 0);
+    ep.tl.resize(users);
+    ep.access_mask.assign((users + 63) / 64, 0);
+    ep.ops_to_ghost.assign(static_cast<std::size_t>(total_ghosts_), 0);
+    ep.bytes_to_ghost.assign(static_cast<std::size_t>(total_ghosts_), 0);
     ep.plans.slots.resize(PlanCache::kSlots);
   }
   // Adaptive progress control: size the board and seed every origin's
-  // replica. Runs identically in every rank's instance — only the first
-  // finisher's CspWin becomes canonical, so nothing here may depend on who
-  // builds it.
+  // replica.
   if (cfg_.adaptive.enabled) init_adapt(*cw);
+  return cw;
+}
+
+std::shared_ptr<CasperLayer::CspWin> CasperLayer::build_windows(
+    Env& env, std::size_t bytes, std::size_t du, unsigned epochs,
+    const mpi::Info& info, int seq) {
+  const auto& topo = rt_->topo();
+  const int me = env.world_rank();
+  const int my_node = topo.node_of(me);
+  const bool ghost = is_ghost_[static_cast<std::size_t>(me)];
+  const Comm& nc = node_comm_of_[static_cast<std::size_t>(me)];
+
+  // Step 1: allocate the node shared segment; ghosts contribute zero bytes
+  // but get the whole node buffer mapped into their "address space".
+  void* shm_base = nullptr;
+  Win shm_win = pmpi_->win_allocate_shared(env, ghost ? 0 : bytes, 1, info,
+                                           nc, &shm_base);
+  const std::byte* node_base = rt_->p_shared_query(env, shm_win, 0).base;
+  const std::byte* my_seg =
+      rt_->p_shared_query(env, shm_win, nc->rank_of_world(me)).base;
+
+  // Step 2: exchange every rank's (offset, size) so all origins can
+  // translate target displacements into ghost-frame displacements.
+  std::vector<Place> places(static_cast<std::size_t>(topo.nranks()));
+  Place mine{static_cast<unsigned long long>(my_seg - node_base),
+             ghost ? 0ull : static_cast<unsigned long long>(bytes)};
+  pmpi_->allgather(env, &mine, static_cast<int>(sizeof(Place)),
+                   mpi::Dt::Byte, places.data(), rt_->world());
 
   // Step 3: the overlapping internal windows over ALL ranks. Each ghost
   // exposes the whole node buffer (byte-addressed); user ranks expose
@@ -213,27 +194,45 @@ std::shared_ptr<CasperLayer::CspWin> CasperLayer::build_windows(
   std::byte* ghost_base =
       ghost ? const_cast<std::byte*>(node_base) : nullptr;
   const std::size_t ghost_size =
-      ghost ? cw->node_total[static_cast<std::size_t>(topo.node_of(me))] : 0;
-
+      ghost ? node_bytes(node_users_[static_cast<std::size_t>(my_node)],
+                         places)
+            : 0;
+  std::vector<Win> ug_wins;
   if (epochs & kEpochLock) {
     // One overlapping window per node-local user process, so exclusive locks
     // to different user targets on the same node do not serialize, while
     // locks to the same target keep MPI's permission management (III.A).
-    cw->ug_wins.reserve(static_cast<std::size_t>(max_local_users_));
+    ug_wins.reserve(static_cast<std::size_t>(max_local_users_));
     for (int i = 0; i < max_local_users_; ++i) {
-      cw->ug_wins.push_back(pmpi_->win_create(
-          env, ghost_base, ghost_size, 1, info, rt_->world()));
+      ug_wins.push_back(pmpi_->win_create(env, ghost_base, ghost_size, 1,
+                                          info, rt_->world()));
     }
   }
+  Win global_win;
   if (epochs & (kEpochFence | kEpochPscw | kEpochLockAll)) {
-    cw->global_win =
+    global_win =
         pmpi_->win_create(env, ghost_base, ghost_size, 1, info, rt_->world());
     if (!ghost) {
       // Fence/PSCW are translated onto a permanent passive epoch: lock-all
       // issued once at window allocation (III.C.1).
-      pmpi_->win_lock_all(env, 0, cw->global_win);
+      pmpi_->win_lock_all(env, 0, global_win);
     }
   }
+
+  // Step 4: build the window's state once and attach. Every member holds
+  // the same `places` and got the same internal window handles back, so
+  // the state cannot depend on which member builds it; later members only
+  // record their node's shared-memory window. Pure work, so it may run
+  // under the registry lock (sharded).
+  auto lk = registry_lock();
+  auto& cw = seq_wins_[seq];
+  if (cw == nullptr) {
+    cw = make_window_state(places, du, epochs, seq);
+    cw->ug_wins = std::move(ug_wins);
+    cw->global_win = global_win;
+  }
+  Win& shm = cw->shm_by_node[static_cast<std::size_t>(my_node)];
+  if (shm == nullptr) shm = shm_win;
   return cw;
 }
 
@@ -261,8 +260,7 @@ void CasperLayer::win_free(Env& env, Win& w) {
     // Lock scoped to the lookup only: the teardown below makes pmpi_ calls
     // that can switch fibers, and holding winmap_mu_ across a fiber switch
     // would deadlock another fiber on the same worker thread.
-    std::unique_lock<std::mutex> lk(winmap_mu_, std::defer_lock);
-    if (rt_->engine().sharded()) lk.lock();
+    auto lk = registry_lock();
     auto it = winmap_.find(w.get());
     if (it != winmap_.end()) keep = it->second;
   }
@@ -278,9 +276,12 @@ void CasperLayer::win_free(Env& env, Win& w) {
   Win uw = keep->user_win;
   pmpi_->win_free(env, uw);  // collective: all members are done after this
   {
-    std::unique_lock<std::mutex> lk(winmap_mu_, std::defer_lock);
-    if (rt_->engine().sharded()) lk.lock();
-    winmap_.erase(keep->user_win.get());  // no-op after the first member
+    // Every ghost looked its window up by seq before the world-wide frees
+    // in free_internal_windows, which this rank has completed. Both erases
+    // are no-ops after the first member.
+    auto lk = registry_lock();
+    winmap_.erase(keep->user_win.get());
+    seq_wins_.erase(keep->seq);
   }
   w.reset();
 }
@@ -323,13 +324,34 @@ std::vector<CasperLayer::GhostLoad> CasperLayer::ghost_load(
       GhostLoad gl;
       gl.ghost_world = g;
       for (const auto& ep : cw.ep) {
-        gl.ops += ep.ops_to_ghost[static_cast<std::size_t>(g)];
-        gl.bytes += ep.bytes_to_ghost[static_cast<std::size_t>(g)];
+        gl.ops += ep.ops_to_ghost[ghost_slot(g)];
+        gl.bytes += ep.bytes_to_ghost[ghost_slot(g)];
       }
       out.push_back(gl);
     }
   }
   return out;
+}
+
+const void* CasperLayer::window_state(const Win& user_win) {
+  return managed(user_win);
+}
+
+const void* CasperLayer::window_state_of_seq(int seq) {
+  auto lk = registry_lock();
+  auto it = seq_wins_.find(seq);
+  return it == seq_wins_.end() ? nullptr : it->second.get();
+}
+
+std::size_t CasperLayer::windows_by_handle() {
+  auto lk = registry_lock();
+  return winmap_.size();
+}
+
+std::size_t CasperLayer::ghost_counter_slots(const Win& user_win,
+                                             int origin) {
+  auto& cw = managed_checked(user_win, "ghost_counter_slots");
+  return cw.ep[static_cast<std::size_t>(origin)].ops_to_ghost.size();
 }
 
 }  // namespace casper::core

@@ -78,6 +78,73 @@ TEST(CasperSetup, TopologyAwareGhostPlacementSpreadsNuma) {
   EXPECT_NE(topo.numa_of(ghosts[0]), topo.numa_of(ghosts[1]));
 }
 
+// Window state is built once per window and shared: 2 nodes x (3 users +
+// 2 ghosts) = 10 member ranks, one CspWin. Users resolve it by handle,
+// ghosts by allocation sequence number; both lead to the same instance.
+TEST(CasperWindowState, EveryMemberResolvesToOneInstance) {
+  std::vector<const void*> seen(6, nullptr);
+  mpi::exec(cfg(2, 5), [&](mpi::Env& env) {
+    Comm w = env.world();
+    auto& L = layer_of(env);
+    void* base = nullptr;
+    Win win = env.win_allocate(4 * sizeof(double), sizeof(double), Info{}, w,
+                               &base);
+    seen[static_cast<std::size_t>(env.rank(w))] = L.window_state(win);
+    EXPECT_EQ(L.window_state(win), L.window_state_of_seq(0));
+    env.barrier(w);
+    env.win_free(win);
+    EXPECT_EQ(L.window_state_of_seq(0), nullptr);
+  }, core::layer(csp(2)));
+  ASSERT_NE(seen[0], nullptr);
+  for (const void* p : seen) EXPECT_EQ(p, seen[0]);
+}
+
+// Per-origin ghost counters hold one slot per ghost (4), not per world rank
+// (10), and ghost_load still attributes every redirected op to its ghost.
+TEST(CasperWindowState, GhostCountersSizedByGhostCount) {
+  mpi::exec(cfg(2, 5), [](mpi::Env& env) {
+    Comm w = env.world();
+    auto& L = layer_of(env);
+    void* base = nullptr;
+    Win win = env.win_allocate(4 * sizeof(double), sizeof(double), Info{}, w,
+                               &base);
+    for (int origin = 0; origin < env.size(w); ++origin) {
+      EXPECT_EQ(L.ghost_counter_slots(win, origin), 4u);
+    }
+    env.win_lock_all(0, win);
+    double v = 1.0;
+    for (int t = 0; t < env.size(w); ++t) {
+      if (t != env.rank(w)) env.accumulate(&v, 1, t, 0, AccOp::Sum, win);
+    }
+    env.win_unlock_all(win);
+    env.barrier(w);
+    std::uint64_t ops = 0;
+    for (const auto& gl : L.ghost_load(win)) {
+      EXPECT_TRUE(L.ghost_rank(gl.ghost_world));
+      ops += gl.ops;
+    }
+    EXPECT_EQ(ops, 6u * 5u);  // every user to every other user
+    env.barrier(w);
+    env.win_free(win);
+  }, core::layer(csp(2)));
+}
+
+TEST(CasperWindowState, RegistriesEmptyAfterAllocFreeCycles) {
+  mpi::exec(cfg(2, 5), [](mpi::Env& env) {
+    Comm w = env.world();
+    auto& L = layer_of(env);
+    for (int i = 0; i < 50; ++i) {
+      void* base = nullptr;
+      Win win = env.win_allocate(sizeof(double), sizeof(double), Info{}, w,
+                                 &base);
+      EXPECT_EQ(L.window_state(win), L.window_state_of_seq(i));
+      env.win_free(win);
+    }
+    EXPECT_EQ(L.windows_by_handle(), 0u);
+    for (int i = 0; i < 50; ++i) EXPECT_EQ(L.window_state_of_seq(i), nullptr);
+  }, core::layer(csp(2)));
+}
+
 TEST(CasperRma, FencePutGetThroughGhosts) {
   mpi::exec(cfg(2, 2), [](mpi::Env& env) {
     Comm w = env.world();

@@ -537,12 +537,11 @@ TEST(MwcasDeterminism, ShardCountsMatchAcrossAllProgressModes) {
   }
 }
 
-// Single ghost: ONE serialization point, so static Casper is fully
-// event-driven and all schedules must match bit-for-bit. (With two ghosts
-// the independent service loops can retire AMs at the same virtual instant
-// — a legal tie that can flip contended races; mw_outcomes_differ exempts
-// that config, and ShardCountsMatchAcrossAllProgressModes still pins its
-// perturb-0 behaviour exactly.)
+// Single ghost, one node: this fixed program never sends two requests to the
+// ghost at the same virtual instant, so every schedule matches bit-for-bit.
+// (Programs that do tie there move completion times, and can flip contended
+// races; see Seed46TieMovesOnlyExemptFields. ShardCountsMatchAcrossAll-
+// ProgressModes still pins perturb-0 behaviour exactly in every mode.)
 TEST(MwcasDeterminism, CasperSchedulesMatchReferenceExactly) {
   const check::MwCase fc = fixed_case(check::KvMode::Casper, 1,
                                       core::Binding::Segment,
@@ -556,7 +555,40 @@ TEST(MwcasDeterminism, CasperSchedulesMatchReferenceExactly) {
     EXPECT_FALSE(check::mw_outcomes_differ(fc, ref, out)) << "schedule " << s;
     EXPECT_EQ(out.history_hash, ref.history_hash) << "schedule " << s;
     EXPECT_EQ(out.end_time, ref.end_time) << "schedule " << s;
+    EXPECT_EQ(out.semantic_hash, ref.semantic_hash) << "schedule " << s;
+    EXPECT_EQ(out.fingerprint, ref.fingerprint) << "schedule " << s;
+    EXPECT_TRUE(out.stats == ref.stats) << "schedule " << s;
   }
+}
+
+// Seed 46 of the reduced --mwcas corpus (two nodes, single-ghost static
+// Casper, segment binding): two clients' requests reach the one ghost at the
+// same virtual instant under some perturbed schedules, and the tie order
+// moves completion times. The gated counts hold on every schedule; the
+// completion time and timed history are the only fields that move.
+TEST(MwcasDeterminism, Seed46TieMovesOnlyExemptFields) {
+  const check::MwCase fc = check::make_mw_case(46, /*reduced=*/true);
+  ASSERT_EQ(fc.mode, check::KvMode::Casper);
+  ASSERT_EQ(fc.ghosts, 1);
+  ASSERT_EQ(fc.binding, core::Binding::Segment);
+  ASSERT_EQ(fc.dynamic, core::DynamicLb::None);
+  const check::MwOutcome ref = check::run_mw_case(fc, /*perturb=*/0);
+  ASSERT_TRUE(ref.clean()) << (ref.diags.empty() ? "" : ref.diags[0]);
+  int moved = 0;
+  for (int s = 1; s <= 31; ++s) {
+    const check::MwOutcome out =
+        check::run_mw_case(fc, check::perturb_for(fc.seed, s));
+    EXPECT_TRUE(out.clean()) << "schedule " << s;
+    EXPECT_FALSE(check::mw_outcomes_differ(fc, ref, out)) << "schedule " << s;
+    EXPECT_EQ(out.semantic_hash, ref.semantic_hash) << "schedule " << s;
+    EXPECT_EQ(out.fingerprint, ref.fingerprint) << "schedule " << s;
+    EXPECT_TRUE(out.stats == ref.stats) << "schedule " << s;
+    if (out.end_time != ref.end_time) {
+      EXPECT_NE(out.history_hash, ref.history_hash) << "schedule " << s;
+      ++moved;
+    }
+  }
+  EXPECT_GT(moved, 0);  // the tie is real: an exact end-time gate would fire
 }
 
 // --- chaos: lossy network and ghost kill mid-descriptor --------------------

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/casper.hpp"
+#include "core/layer_impl.hpp"
 #include "mpi/runtime.hpp"
 #include "net/profile.hpp"
 
@@ -151,6 +152,61 @@ TEST_F(ShardedRuntime, Fig5PerturbedScheduleShardInvariant) {
                    0x5eedf00dULL);
   expect_invariant(progress::Kind::Thread, true, false, "thread perturbed",
                    0x1d);
+}
+
+// Two Casper windows at shards=4: members on different worker threads build
+// or attach to each window's shared state concurrently (the registry path
+// TSan watches), and both windows carry correct, separate results.
+TEST_F(ShardedRuntime, CasperWindowsAttachAcrossShards) {
+  RunConfig c;
+  c.machine.profile = net::cray_xc30_regular();
+  c.machine.topo.nodes = 8;
+  c.machine.topo.cores_per_node = 2;
+  c.shards = 4;
+  core::Config cc;
+  cc.ghosts_per_node = 1;
+  std::vector<double> sums(2, 0.0);
+  std::vector<const void*> states(2 * 8, nullptr);  // per window, user rank
+  auto body = [&sums, &states](mpi::Env& env) {
+    Comm w = env.world();
+    auto& L = dynamic_cast<core::CasperLayer&>(env.runtime().layer());
+    void *b1 = nullptr, *b2 = nullptr;
+    Win w1 = env.win_allocate(sizeof(double), sizeof(double), Info{}, w, &b1);
+    Win w2 = env.win_allocate(sizeof(double), sizeof(double), Info{}, w, &b2);
+    EXPECT_NE(L.window_state(w1), L.window_state(w2));
+    EXPECT_EQ(L.window_state(w1), L.window_state_of_seq(0));
+    EXPECT_EQ(L.window_state(w2), L.window_state_of_seq(1));
+    const auto me = static_cast<std::size_t>(env.rank(w));
+    states[me] = L.window_state(w1);
+    states[8 + me] = L.window_state(w2);
+    env.win_lock_all(0, w1);
+    env.win_lock_all(0, w2);
+    double x = 1.0, y = 10.0;
+    env.accumulate(&x, 1, 0, 0, AccOp::Sum, w1);
+    env.accumulate(&y, 1, 0, 0, AccOp::Sum, w2);
+    env.win_unlock_all(w1);
+    env.win_unlock_all(w2);
+    env.barrier(w);
+    if (env.rank(w) == 0) {
+      sums[0] = *static_cast<double*>(b1);
+      sums[1] = *static_cast<double*>(b2);
+    }
+    env.barrier(w);
+    env.win_free(w2);
+    env.win_free(w1);
+  };
+  mpi::Runtime rt(c, body, core::layer(cc));
+  rt.run();
+  EXPECT_EQ(sums[0], 8.0);
+  EXPECT_EQ(sums[1], 80.0);
+  for (std::size_t r = 0; r < 8; ++r) {
+    EXPECT_EQ(states[r], states[0]) << "user " << r;
+    EXPECT_EQ(states[8 + r], states[8]) << "user " << r;
+  }
+  auto& L = dynamic_cast<core::CasperLayer&>(rt.layer());
+  EXPECT_EQ(L.windows_by_handle(), 0u);
+  EXPECT_EQ(L.window_state_of_seq(0), nullptr);
+  EXPECT_EQ(L.window_state_of_seq(1), nullptr);
 }
 
 }  // namespace
