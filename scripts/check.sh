@@ -18,7 +18,9 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$JOBS"
 
 echo "== [2/14] conformance fuzzer: fixed seed corpus =="
 # A larger sweep than the ctest-time run; still deterministic (fixed base
-# seed), so failures here are reproducible verbatim.
+# seed), so failures here are reproducible verbatim. Repros left by earlier
+# runs are cleared so stage 8 replays exactly what this run wrote.
+rm -f "$BUILD"/tests/casper_*repro*.txt
 "./$BUILD/tests/fuzz_conformance" --base-seed 1 --cases 500 --schedules 8 \
   --out "$BUILD/tests"
 
@@ -51,7 +53,7 @@ echo "== [6/14] KV store + linearizability checker =="
 # The RMA-backed sharded KV store under skewed traffic with the Wing-Gong
 # linearizability checker riding every run (DESIGN.md §14): the unit suites,
 # a wider clean --kv corpus than the ctest-time slice (the planted-bug
-# kv_proof pipeline runs inside the first campaign), and the faulted corpus
+# proof runs after the first campaign), and the faulted corpus
 # (lossy network + seed-derived chaos) which must stay violation-free
 # through retry and recovery.
 "./$BUILD/tests/test_kv"
@@ -79,13 +81,21 @@ echo "== [8/14] MWCAS library: unit battery + clean/lockfree corpora =="
 # recovery battery (helping with a dead origin, die-at-every-install replay,
 # MS-queue linearizability, 64-schedule exactness), a wider clean --mwcas
 # corpus than the ctest-time slice (the three planted protocol bugs are
-# proven caught inside the first campaign), and the KV store's lock-free
-# bucket mode over the same seeds the locked campaign runs in stage 6.
+# proven caught inside the first campaign), the KV store's lock-free
+# bucket mode over the same seeds the locked campaign runs in stage 6, and a
+# replay of every repro file the fuzz stages wrote.
 "./$BUILD/tests/test_mwcas"
 "./$BUILD/tests/fuzz_conformance" --base-seed 1 --mwcas 100 --schedules 4 \
   --out "$BUILD/tests"
 "./$BUILD/tests/fuzz_conformance" --base-seed 1 --kv 100 --schedules 2 \
   --lockfree --out "$BUILD/tests"
+# Every repro stages 2, 6 and 8 wrote (the planted-bug proofs of all three
+# workloads) must replay through the CLI's one dispatcher.
+for f in "$BUILD"/tests/casper_*repro*.txt; do
+  out=$("./$BUILD/tests/fuzz_conformance" --replay "$f") || true
+  echo "$out"
+  [[ "$out" == *": REPRODUCED ("* ]] || { echo "replay failed: $f"; exit 1; }
+done
 
 echo "== [9/14] ASan: fuzzer smoke corpus + ghost-failure soak =="
 cmake -B "$BUILD_ASAN" -S . -DCASPER_ASAN=ON >/dev/null

@@ -9,7 +9,6 @@
 #include "mpi/datatype.hpp"
 #include "mpi/runtime.hpp"
 #include "obs/record.hpp"
-#include "net/profile.hpp"
 #include "sim/rng.hpp"
 
 namespace casper::check {
@@ -243,18 +242,7 @@ FuzzCase make_case(std::uint64_t seed, bool reduced) {
   sim::Rng rng(seed, 0xfa22);
   FuzzCase fc;
   fc.seed = seed;
-  fc.nodes = 1 + static_cast<int>(rng.next_below(2));
-  fc.users_per_node = 1 + static_cast<int>(rng.next_below(3));
-  if (fc.nodes * fc.users_per_node < 2) fc.users_per_node = 2;
-  fc.ghosts = 1 + static_cast<int>(rng.next_below(2));
-  fc.binding =
-      rng.next_below(2) ? core::Binding::Segment : core::Binding::Rank;
-  switch (rng.next_below(4)) {
-    case 0: fc.dynamic = core::DynamicLb::None; break;
-    case 1: fc.dynamic = core::DynamicLb::Random; break;
-    case 2: fc.dynamic = core::DynamicLb::OpCounting; break;
-    default: fc.dynamic = core::DynamicLb::ByteCounting; break;
-  }
+  draw_deployment(rng, fc, /*draw_mode=*/false);
   fc.epoch = static_cast<EpochStyle>(rng.next_below(4));
   fc.rounds = 1 + static_cast<int>(rng.next_below(2));
   fc.mid_flush = (fc.epoch == EpochStyle::Lock ||
@@ -526,21 +514,11 @@ void add_net_faults(FuzzCase& fc) {
   }
 }
 
-RunOutcome run_case(const FuzzCase& fc, std::uint64_t perturb_seed,
-                    bool inject_flip_fault) {
-  mpi::RunConfig rc;
-  rc.machine.profile = net::cray_xc30_regular();
-  rc.machine.topo.nodes = fc.nodes;
-  rc.machine.topo.cores_per_node = fc.users_per_node + fc.ghosts;
-  rc.seed = fc.seed;
-  rc.perturb_seed = perturb_seed;
-  if (fc.fault_plan.active()) rc.fault = &fc.fault_plan;
-  core::Config cc;
-  cc.ghosts_per_node = fc.ghosts;
-  cc.binding = fc.binding;
-  cc.dynamic = fc.dynamic;
+RunOutcome run_case(const FuzzCase& fc, std::uint64_t perturb_seed) {
+  mpi::RunConfig rc = run_config(fc, perturb_seed);
+  core::Config cc = casper_config(fc);
   cc.adaptive.enabled = fc.adaptive;
-  cc.fault.flip_segment_binding = inject_flip_fault;
+  cc.fault.flip_segment_binding = fc.bug == Bug::FlipSegmentBinding;
 
   // CASPER_TRACE=<anything but 0/off> attaches a recorder so repro files can
   // embed the tail of the virtual-time trace (see scripts/check.sh gate 4).
@@ -554,12 +532,13 @@ RunOutcome run_case(const FuzzCase& fc, std::uint64_t perturb_seed,
   RunOutcome out;
   out.content_hash.assign(static_cast<std::size_t>(fc.nusers()), 0);
   out.world_of.assign(static_cast<std::size_t>(fc.nusers()), -1);
+  out.ops = static_cast<int>(fc.ops.size());
   ShadowOracle oracle;
   RaceAnalyzer race;
   if (want_trace) race.set_recorder(&rec);
   mpi::Runtime rt(
       rc, [&fc, &out](mpi::Env& env) { fuzz_body(env, fc, out); },
-      core::layer(cc));
+      layer_for(fc, cc));
   rt.add_observer(&oracle);
   rt.add_observer(&race);
   rt.engine().set_schedule_trace(&out.trace);
@@ -574,91 +553,65 @@ RunOutcome run_case(const FuzzCase& fc, std::uint64_t perturb_seed,
     out.race_diags.push_back(c.diag);
     if (out.race_diags.size() >= 8) break;
   }
-  if (fc.fault_plan.active()) {
-    for (const auto& [key, val] : rt.stats().all()) {
-      if (key.rfind("fault.", 0) == 0 || key.rfind("recovery.", 0) == 0) {
-        out.fault_stats[key] = val;
-      }
-    }
-  }
+  out.fault_stats = fault_stats(fc, rt.stats().all());
   if (want_trace) out.trace_tail = rec.trace().tail_text(32);
   return out;
 }
 
-std::uint64_t perturb_for(std::uint64_t seed, int s) {
-  if (s == 0) return 0;  // schedule 0 is always the classic order
-  sim::Rng rng(seed, 0x5eed + static_cast<std::uint64_t>(s));
-  const std::uint64_t v = rng.next_u64();
-  return v == 0 ? 1 : v;
+FuzzCase RmaWorkload::generate(std::uint64_t seed) const {
+  FuzzCase fc = spec.races > 0 ? make_racy_case(seed, spec.reduced, spec.races)
+                               : make_case(seed, spec.reduced);
+  if (spec.adaptive) fc.adaptive = true;
+  if (spec.net_faults) add_net_faults(fc);
+  fc.bug = spec.bug;
+  return fc;
 }
 
-int minimize_prefix(int total, const std::function<bool(int)>& fails) {
-  int lo = 1, hi = total;
-  while (lo < hi) {
-    const int mid = lo + (hi - lo) / 2;
-    if (fails(mid)) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  // The bisection assumes failing prefixes stay failing when extended; the
-  // final check catches the (rare) non-monotone case.
-  return fails(lo) ? lo : total;
+RunOutcome RmaWorkload::run(const FuzzCase& fc, std::uint64_t perturb,
+                            int prefix) const {
+  if (prefix >= static_cast<int>(fc.ops.size())) return run_case(fc, perturb);
+  FuzzCase t = fc;
+  t.ops.resize(static_cast<std::size_t>(prefix));
+  return run_case(t, perturb);
 }
 
-std::string write_repro(const Repro& r, const FuzzCase& fc,
-                        const RunOutcome& out, const std::string& dir) {
-  char name[128];
-  std::snprintf(name, sizeof(name),
-                "casper_repro_s%" PRIu64 "_p%" PRIu64 ".txt", r.seed,
-                r.perturb);
-  const std::string path = dir.empty() ? name : dir + "/" + name;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return {};
-  std::fprintf(f, "# casper conformance repro v1\n");
-  std::fprintf(f, "# replay: fuzz_conformance --replay %s\n", path.c_str());
-  std::fprintf(f, "kind %s\n", r.kind.c_str());
-  std::fprintf(f, "seed %" PRIu64 "\n", r.seed);
-  std::fprintf(f, "perturb %" PRIu64 "\n", r.perturb);
-  std::fprintf(f, "base_perturb %" PRIu64 "\n", r.base_perturb);
-  std::fprintf(f, "prefix %d\n", r.prefix_ops);
-  std::fprintf(f, "reduced %d\n", r.reduced ? 1 : 0);
-  std::fprintf(f, "fault %d\n", r.fault ? 1 : 0);
-  if (r.races > 0) std::fprintf(f, "races %d\n", r.races);
-  if (r.plan.active()) {
-    // Embed the triggering FaultPlan: replay must reproduce the exact
-    // drop/dup/delay verdicts, so the plan travels with the repro instead
-    // of being re-derived from conventions that may change.
-    std::fprintf(f,
-                 "netfault seed=%" PRIu64 " drop=%.17g dup=%.17g delay=%.17g "
-                 "dmin=%" PRIu64 " dmax=%" PRIu64 " ackdrop=%.17g "
-                 "rto=%" PRIu64 " maxretries=%d hb=%" PRIu64 "\n",
-                 r.plan.seed, r.plan.net.drop_p, r.plan.net.dup_p,
-                 r.plan.net.delay_p, r.plan.net.delay_min,
-                 r.plan.net.delay_max, r.plan.net.ack_drop_p, r.plan.rto_base,
-                 r.plan.max_retries, r.plan.heartbeat_period);
-    for (const auto& k : r.plan.kills) {
-      std::fprintf(f, "kill rank=%d at=%" PRIu64 "\n", k.world_rank, k.at);
+std::string RmaWorkload::judge(const FuzzCase& fc, const RunOutcome& ref,
+                               const RunOutcome& out) const {
+  if (!fc.planted.empty()) {
+    // Racing writes legitimately diverge the oracle and the contents; every
+    // planted pair the run issued must be flagged in every schedule.
+    for (const FuzzCase::PlantedRace& pr : fc.planted) {
+      if (pr.op_a < out.ops && pr.op_b < out.ops && !planted_flagged(out, pr))
+        return "race-miss";
     }
-    for (const auto& s : r.plan.stalls) {
-      std::fprintf(f, "stall rank=%d at=%" PRIu64 " dur=%" PRIu64 "\n",
-                   s.world_rank, s.at, s.duration);
-    }
+    return "";
   }
+  if (!out.oracle_clean()) return "oracle-divergence";
+  // The generator promises every clean case race-free.
+  if (!out.races_clean()) return "race-conflict";
+  if (!fc.order_sensitive && out.content_hash != ref.content_hash)
+    return "schedule-divergence";
+  return "";
+}
+
+bool RmaWorkload::candidate(const FuzzCase& fc) const {
+  return fc.bug != Bug::FlipSegmentBinding ||
+         (fc.binding == core::Binding::Segment && fc.ghosts >= 2 &&
+          !fc.adaptive);
+}
+
+void RmaWorkload::describe(std::FILE* f, const FuzzCase& fc,
+                           const RunOutcome& out, int prefix) const {
   std::fprintf(
       f,
-      "case nodes=%d users_per_node=%d ghosts=%d binding=%s dynamic=%d "
-      "epoch=%s rounds=%d mid_flush=%d pscw_nocheck=%d hint_exact=%d "
-      "acc_dt=%s acc_op=%s order_sensitive=%d slot_bytes=%zu adaptive=%d\n",
-      fc.nodes, fc.users_per_node, fc.ghosts,
-      fc.binding == core::Binding::Segment ? "segment" : "rank",
-      static_cast<int>(fc.dynamic), to_string(fc.epoch), fc.rounds,
+      "case %s epoch=%s rounds=%d mid_flush=%d pscw_nocheck=%d "
+      "hint_exact=%d acc_dt=%s acc_op=%s order_sensitive=%d slot_bytes=%zu "
+      "adaptive=%d\n",
+      to_string(fc).c_str(), to_string(fc.epoch), fc.rounds,
       fc.mid_flush ? 1 : 0, fc.pscw_nocheck ? 1 : 0, fc.hint_exact ? 1 : 0,
       dt_name(fc.acc_dt), aop_name(fc.acc_op), fc.order_sensitive ? 1 : 0,
       fc.slot_bytes, fc.adaptive ? 1 : 0);
-  const int nshow = std::min<int>(r.prefix_ops,
-                                  static_cast<int>(fc.ops.size()));
+  const int nshow = std::min<int>(prefix, static_cast<int>(fc.ops.size()));
   for (int i = 0; i < nshow; ++i) {
     const OpRec& op = fc.ops[static_cast<std::size_t>(i)];
     std::fprintf(f,
@@ -702,273 +655,6 @@ std::string write_repro(const Repro& r, const FuzzCase& fc,
   for (const std::string& line : out.trace_tail) {
     std::fprintf(f, "trace %s\n", line.c_str());
   }
-  std::fclose(f);
-  return path;
-}
-
-bool parse_repro(const std::string& path, Repro& out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  char line[512];
-  bool have_seed = false, have_kind = false;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    char kind[64];
-    int b = 0;
-    if (std::sscanf(line, "kind %63s", kind) == 1) {
-      out.kind = kind;
-      have_kind = true;
-    } else if (std::sscanf(line, "seed %" SCNu64, &out.seed) == 1) {
-      have_seed = true;
-    } else if (std::sscanf(line, "perturb %" SCNu64, &out.perturb) == 1) {
-    } else if (std::sscanf(line, "base_perturb %" SCNu64,
-                           &out.base_perturb) == 1) {
-    } else if (std::sscanf(line, "prefix %d", &out.prefix_ops) == 1) {
-    } else if (std::sscanf(line, "reduced %d", &b) == 1) {
-      out.reduced = b != 0;
-    } else if (std::sscanf(line, "fault %d", &b) == 1) {
-      out.fault = b != 0;
-    } else if (std::sscanf(line, "races %d", &out.races) == 1) {
-    } else if (std::sscanf(line,
-                           "netfault seed=%" SCNu64 " drop=%lg dup=%lg "
-                           "delay=%lg dmin=%" SCNu64 " dmax=%" SCNu64
-                           " ackdrop=%lg rto=%" SCNu64 " maxretries=%d "
-                           "hb=%" SCNu64,
-                           &out.plan.seed, &out.plan.net.drop_p,
-                           &out.plan.net.dup_p, &out.plan.net.delay_p,
-                           &out.plan.net.delay_min, &out.plan.net.delay_max,
-                           &out.plan.net.ack_drop_p, &out.plan.rto_base,
-                           &out.plan.max_retries,
-                           &out.plan.heartbeat_period) == 10) {
-    } else {
-      fault::GhostKill k;
-      fault::GhostStall s;
-      if (std::sscanf(line, "kill rank=%d at=%" SCNu64, &k.world_rank,
-                      &k.at) == 2) {
-        out.plan.kills.push_back(k);
-      } else if (std::sscanf(line, "stall rank=%d at=%" SCNu64
-                                   " dur=%" SCNu64,
-                             &s.world_rank, &s.at, &s.duration) == 3) {
-        out.plan.stalls.push_back(s);
-      }
-    }
-  }
-  std::fclose(f);
-  return have_seed && have_kind;
-}
-
-bool replay(const Repro& r) {
-  FuzzCase fc = r.races > 0 ? make_racy_case(r.seed, r.reduced, r.races)
-                            : make_case(r.seed, r.reduced);
-  if (r.plan.active()) fc.fault_plan = r.plan;
-  if (r.prefix_ops > 0 &&
-      r.prefix_ops < static_cast<int>(fc.ops.size())) {
-    fc.ops.resize(static_cast<std::size_t>(r.prefix_ops));
-  }
-  const RunOutcome out = run_case(fc, r.perturb, r.fault);
-  if (r.kind == "schedule-divergence") {
-    const RunOutcome base = run_case(fc, r.base_perturb, r.fault);
-    return out.content_hash != base.content_hash;
-  }
-  if (r.kind == "race-conflict") return !out.races_clean();
-  if (r.kind == "race-miss") {
-    const int n = static_cast<int>(fc.ops.size());
-    for (const FuzzCase::PlantedRace& pr : fc.planted) {
-      if (pr.op_a < n && pr.op_b < n && !planted_flagged(out, pr))
-        return true;
-    }
-    return false;
-  }
-  return !out.oracle_clean();
-}
-
-CampaignResult run_campaign(const CampaignOptions& opt) {
-  CampaignResult res;
-  const bool racy = opt.planted_races > 0;
-  for (int c = 0; c < opt.cases; ++c) {
-    const std::uint64_t seed = opt.base_seed + static_cast<std::uint64_t>(c);
-    FuzzCase fc = racy ? make_racy_case(seed, opt.reduced, opt.planted_races)
-                       : make_case(seed, opt.reduced);
-    if (opt.force_adaptive) fc.adaptive = true;
-    if (opt.net_faults) add_net_faults(fc);
-    ++res.cases_run;
-
-    std::vector<RunOutcome> outs;
-    outs.reserve(static_cast<std::size_t>(opt.schedules));
-    int bad_schedule = -1;
-    for (int s = 0; s < opt.schedules; ++s) {
-      outs.push_back(run_case(fc, perturb_for(seed, s)));
-      ++res.runs;
-      res.total_commits += outs.back().commits;
-      // Racy mode: planted racing writes legitimately diverge the oracle
-      // and the content hashes; only analyzer coverage is judged.
-      if (!racy && !outs.back().oracle_clean() && bad_schedule < 0)
-        bad_schedule = s;
-    }
-
-    if (racy) {
-      // Positive tests: every planted pair must be flagged in EVERY
-      // schedule (verdicts are schedule-invariant by design).
-      int miss_schedule = -1;
-      for (int s = 0; s < opt.schedules && miss_schedule < 0; ++s) {
-        for (const FuzzCase::PlantedRace& pr : fc.planted) {
-          if (!planted_flagged(outs[static_cast<std::size_t>(s)], pr)) {
-            miss_schedule = s;
-            break;
-          }
-        }
-      }
-      if (miss_schedule >= 0) {
-        const std::uint64_t p = perturb_for(seed, miss_schedule);
-        const auto misses = [&](const FuzzCase& t, const RunOutcome& o) {
-          const int n = static_cast<int>(t.ops.size());
-          for (const FuzzCase::PlantedRace& pr : t.planted) {
-            if (pr.op_a < n && pr.op_b < n && !planted_flagged(o, pr))
-              return true;
-          }
-          return false;
-        };
-        const int k = minimize_prefix(
-            static_cast<int>(fc.ops.size()), [&](int n) {
-              FuzzCase t = fc;
-              t.ops.resize(static_cast<std::size_t>(n));
-              return misses(t, run_case(t, p));
-            });
-        FuzzCase t = fc;
-        t.ops.resize(static_cast<std::size_t>(k));
-        const RunOutcome rerun = run_case(t, p);
-        Repro rp;
-        rp.seed = seed;
-        rp.perturb = p;
-        rp.prefix_ops = k;
-        rp.reduced = opt.reduced;
-        rp.plan = fc.fault_plan;
-        rp.races = opt.planted_races;
-        rp.kind = "race-miss";
-        Failure fl;
-        fl.seed = seed;
-        fl.perturb = p;
-        fl.kind = rp.kind;
-        fl.minimized_ops = k;
-        fl.repro_path = write_repro(rp, fc, rerun, opt.repro_dir);
-        res.failures.push_back(std::move(fl));
-      }
-      if (opt.verbose && (c + 1) % 50 == 0) {
-        std::fprintf(stderr, "fuzz: %d/%d racy cases, %d runs, %zu miss(es)\n",
-                     c + 1, opt.cases, res.runs, res.failures.size());
-      }
-      continue;
-    }
-
-    if (bad_schedule >= 0) {
-      const std::uint64_t p = perturb_for(seed, bad_schedule);
-      const int k = minimize_prefix(
-          static_cast<int>(fc.ops.size()), [&](int n) {
-            FuzzCase t = fc;
-            t.ops.resize(static_cast<std::size_t>(n));
-            return !run_case(t, p).oracle_clean();
-          });
-      FuzzCase t = fc;
-      t.ops.resize(static_cast<std::size_t>(k));
-      const RunOutcome rerun = run_case(t, p);
-      Repro rp;
-      rp.seed = seed;
-      rp.perturb = p;
-      rp.prefix_ops = k;
-      rp.reduced = opt.reduced;
-      rp.plan = fc.fault_plan;
-      rp.kind = "oracle-divergence";
-      Failure fl;
-      fl.seed = seed;
-      fl.perturb = p;
-      fl.kind = rp.kind;
-      fl.minimized_ops = k;
-      fl.repro_path = write_repro(rp, fc, rerun, opt.repro_dir);
-      res.failures.push_back(std::move(fl));
-      continue;
-    }
-
-    // Clean corpus = negative tests for the analyzer: the generator promises
-    // every case race-free, so any conflict is a false positive.
-    {
-      int fp_schedule = -1;
-      for (int s = 0; s < opt.schedules; ++s) {
-        if (!outs[static_cast<std::size_t>(s)].races_clean()) {
-          fp_schedule = s;
-          break;
-        }
-      }
-      if (fp_schedule >= 0) {
-        const std::uint64_t p = perturb_for(seed, fp_schedule);
-        const int k = minimize_prefix(
-            static_cast<int>(fc.ops.size()), [&](int n) {
-              FuzzCase t = fc;
-              t.ops.resize(static_cast<std::size_t>(n));
-              return !run_case(t, p).races_clean();
-            });
-        FuzzCase t = fc;
-        t.ops.resize(static_cast<std::size_t>(k));
-        const RunOutcome rerun = run_case(t, p);
-        Repro rp;
-        rp.seed = seed;
-        rp.perturb = p;
-        rp.prefix_ops = k;
-        rp.reduced = opt.reduced;
-        rp.plan = fc.fault_plan;
-        rp.kind = "race-conflict";
-        Failure fl;
-        fl.seed = seed;
-        fl.perturb = p;
-        fl.kind = rp.kind;
-        fl.minimized_ops = k;
-        fl.repro_path = write_repro(rp, fc, rerun, opt.repro_dir);
-        res.failures.push_back(std::move(fl));
-        continue;
-      }
-    }
-
-    if (!fc.order_sensitive) {
-      for (int s = 1; s < opt.schedules; ++s) {
-        if (outs[static_cast<std::size_t>(s)].content_hash ==
-            outs[0].content_hash) {
-          continue;
-        }
-        const std::uint64_t p = perturb_for(seed, s);
-        const int k = minimize_prefix(
-            static_cast<int>(fc.ops.size()), [&](int n) {
-              FuzzCase t = fc;
-              t.ops.resize(static_cast<std::size_t>(n));
-              return run_case(t, p).content_hash !=
-                     run_case(t, 0).content_hash;
-            });
-        FuzzCase t = fc;
-        t.ops.resize(static_cast<std::size_t>(k));
-        const RunOutcome rerun = run_case(t, p);
-        Repro rp;
-        rp.seed = seed;
-        rp.perturb = p;
-        rp.prefix_ops = k;
-        rp.reduced = opt.reduced;
-        rp.plan = fc.fault_plan;
-        rp.kind = "schedule-divergence";
-        Failure fl;
-        fl.seed = seed;
-        fl.perturb = p;
-        fl.kind = rp.kind;
-        fl.minimized_ops = k;
-        fl.repro_path = write_repro(rp, fc, rerun, opt.repro_dir);
-        res.failures.push_back(std::move(fl));
-        break;
-      }
-    }
-
-    if (opt.verbose && (c + 1) % 50 == 0) {
-      std::fprintf(stderr, "fuzz: %d/%d cases, %d runs, %" PRIu64
-                           " commits, %zu failure(s)\n",
-                   c + 1, opt.cases, res.runs, res.total_commits,
-                   res.failures.size());
-    }
-  }
-  return res;
 }
 
 }  // namespace casper::check

@@ -1,4 +1,5 @@
-// Randomized RMA conformance fuzzer.
+// Randomized RMA conformance fuzzing: the RMA workload of check::Campaign
+// (check/campaign.hpp).
 //
 // A seed deterministically generates a small RMA program (topology, Casper
 // config, epoch style, and an op stream of PUT/GET/ACC/GET_ACC/FAO — plus
@@ -10,8 +11,6 @@
 //   * the runtime's atomicity-violation detector fires, or
 //   * two legal schedules of a schedule-invariant program produce different
 //     final window contents.
-// Failures are minimized to the shortest failing op prefix and written as a
-// replayable repro file (seed + schedule + op trace).
 //
 // Programs are constructed to be schedule-invariant unless marked
 // order-sensitive: PUT targets per-origin-exclusive, per-round-disjoint slot
@@ -23,15 +22,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "check/campaign.hpp"
 #include "check/oracle.hpp"
 #include "check/race.hpp"
-#include "core/casper.hpp"
-#include "fault/plan.hpp"
 #include "mpi/types.hpp"
 #include "sim/engine.hpp"
 
@@ -57,14 +55,9 @@ struct OpRec {
   bool local = false;
 };
 
-/// A complete generated test case.
-struct FuzzCase {
-  std::uint64_t seed = 0;
-  int nodes = 1;
-  int users_per_node = 2;
-  int ghosts = 1;
-  core::Binding binding = core::Binding::Rank;
-  core::DynamicLb dynamic = core::DynamicLb::None;
+/// A complete generated test case. Always a Casper deployment; its fault
+/// plan serves --faults, the fault matrix and the ghost-failure suites.
+struct FuzzCase : Deployment {
   /// Online adaptive progress control (DESIGN.md §15) on for the run. Drawn
   /// from a stream separate from the main case stream so the established
   /// corpus replays identical programs with the controller merely toggled.
@@ -78,9 +71,6 @@ struct FuzzCase {
   mpi::AccOp acc_op = mpi::AccOp::Sum;  ///< the case's commutative acc op
   bool order_sensitive = false;
   std::size_t slot_bytes = 64;  ///< per-slot bytes; layout below
-  /// Injected network/process faults (--faults mode, the fault matrix and
-  /// the ghost-failure suites). Inert unless `fault_plan.active()`.
-  fault::FaultPlan fault_plan;
   /// One deliberately planted same-epoch conflicting access pair (racy
   /// mode). The analyzer must flag every planted pair in every schedule.
   struct PlantedRace {
@@ -95,7 +85,6 @@ struct FuzzCase {
   std::vector<PlantedRace> planted;
   std::vector<OpRec> ops;
 
-  int nusers() const { return nodes * users_per_node; }
   /// Segment layout: nusers() per-origin put slots, then the shared
   /// accumulate region, then a never-written read-only slot.
   std::size_t seg_bytes() const {
@@ -141,6 +130,7 @@ struct RunOutcome {
   /// World rank of each user rank (planted races are phrased in user ranks;
   /// analyzer groups are phrased in world ranks).
   std::vector<int> world_of;
+  int ops = 0;  ///< length of the op prefix the run issued
 
   bool oracle_clean() const {
     return divergences.empty() && atomicity_violations == 0;
@@ -154,83 +144,34 @@ struct RunOutcome {
 bool planted_flagged(const RunOutcome& out, const FuzzCase::PlantedRace& pr);
 
 /// Run the case once under schedule `perturb_seed` (0 = classic order).
-/// `inject_flip_fault` enables the deliberate segment→ghost binding bug.
-RunOutcome run_case(const FuzzCase& fc, std::uint64_t perturb_seed,
-                    bool inject_flip_fault = false);
+/// Bug::FlipSegmentBinding enables the deliberate segment→ghost binding bug.
+RunOutcome run_case(const FuzzCase& fc, std::uint64_t perturb_seed);
 
-/// Schedule perturb seed of schedule index `s` for a case (s == 0 → 0).
-std::uint64_t perturb_for(std::uint64_t seed, int s);
+/// The RMA workload adapter of check::Campaign.
+struct RmaWorkload {
+  using Case = FuzzCase;
+  using Outcome = RunOutcome;
+  CaseSpec spec;
 
-/// Smallest k in [1, total] for which `fails(k)` holds, assuming rough
-/// monotonicity (verified; falls back to `total` when the assumption broke).
-int minimize_prefix(int total, const std::function<bool(int)>& fails);
-
-/// Everything needed to replay one failure.
-struct Repro {
-  std::uint64_t seed = 0;
-  std::uint64_t perturb = 0;       ///< the failing schedule
-  std::uint64_t base_perturb = 0;  ///< comparison schedule (content diffs)
-  int prefix_ops = 0;              ///< minimized op-stream prefix length
-  bool reduced = true;
-  bool fault = false;
-  /// The network FaultPlan active when the failure triggered, embedded in
-  /// the repro file so a replay reproduces the same drops/dups/delays.
-  fault::FaultPlan plan;
-  /// Planted races in the generating case (> 0 → regenerate with
-  /// make_racy_case on replay).
-  int races = 0;
-  /// "oracle-divergence" | "schedule-divergence" | "race-conflict" (a clean
-  /// case the analyzer flagged: false positive) | "race-miss" (a planted
-  /// race the analyzer did not flag).
-  std::string kind;
+  /// make_case, or make_racy_case with spec.races; then --adaptive,
+  /// --faults and the planted bug.
+  Case generate(std::uint64_t seed) const;
+  /// The first `prefix` ops.
+  Outcome run(const Case& fc, std::uint64_t perturb, int prefix) const;
+  /// Racy cases judge only coverage: "race-miss" when a planted pair inside
+  /// the run went unflagged. Clean cases: "oracle-divergence", then
+  /// "race-conflict" (any analyzer conflict is a false positive), then
+  /// "schedule-divergence" (final contents differ from `ref`; skipped for
+  /// order-sensitive cases).
+  std::string judge(const Case& fc, const Outcome& ref,
+                    const Outcome& out) const;
+  /// The flipped binding only has a surface when segment binding spreads a
+  /// target over >= 2 ghosts; adaptive cases route through the controller's
+  /// map instead of the flippable static owner function.
+  bool candidate(const Case& fc) const;
+  static std::uint64_t tally(const Outcome& out) { return out.commits; }
+  void describe(std::FILE* f, const Case& fc, const Outcome& out,
+                int prefix) const;
 };
-
-/// Write a human-readable, machine-replayable repro file; returns its path.
-std::string write_repro(const Repro& r, const FuzzCase& fc,
-                        const RunOutcome& out, const std::string& dir);
-bool parse_repro(const std::string& path, Repro& out);
-/// Re-run a parsed repro; true when the recorded failure reproduces.
-bool replay(const Repro& r);
-
-struct CampaignOptions {
-  std::uint64_t base_seed = 1;
-  int cases = 200;
-  int schedules = 4;
-  bool reduced = true;
-  /// --faults: every case additionally runs under a seed-derived lossy
-  /// network (add_net_faults); failures embed the plan in their repro.
-  bool net_faults = false;
-  /// --races N: racy mode. Every case is generated with make_racy_case and
-  /// N planted conflicting pairs; a planted pair the analyzer misses in any
-  /// schedule is a "race-miss" failure (minimized + repro like the rest).
-  /// Oracle/content checks are skipped — racing writes legitimately diverge.
-  /// 0 = clean mode, where any analyzer conflict is a "race-conflict"
-  /// false-positive failure.
-  int planted_races = 0;
-  /// --adaptive: force the online progress controller on for every case
-  /// (the seed stream only turns it on for ~25% of the corpus).
-  bool force_adaptive = false;
-  std::string repro_dir = ".";
-  bool verbose = false;
-};
-
-struct Failure {
-  std::uint64_t seed = 0;
-  std::uint64_t perturb = 0;
-  std::string kind;
-  int minimized_ops = 0;
-  std::string repro_path;
-};
-
-struct CampaignResult {
-  int cases_run = 0;
-  int runs = 0;
-  std::uint64_t total_commits = 0;
-  std::vector<Failure> failures;
-};
-
-/// Run `cases` seeds × `schedules` schedules; minimize and write a repro for
-/// every failure.
-CampaignResult run_campaign(const CampaignOptions& opt);
 
 }  // namespace casper::check

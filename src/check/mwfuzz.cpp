@@ -1,31 +1,20 @@
 #include "check/mwfuzz.hpp"
 
 #include <cinttypes>
-#include <cstdio>
-#include <cstring>
 
 #include "check/oracle.hpp"
 #include "check/race.hpp"
-#include "mpi/runtime.hpp"
-#include "net/profile.hpp"
 #include "obs/record.hpp"
-#include "progress/progress.hpp"
 #include "sim/rng.hpp"
 
 namespace casper::check {
 
 namespace {
 
-constexpr const char* kMwReproHeader = "# casper mwcas repro v1";
-
-const char* binding_name(core::Binding b) {
-  return b == core::Binding::Segment ? "segment" : "rank";
-}
-
-void apply_bug(mwcas::MwConfig& mc, MwBug bug) {
-  mc.bug_skip_help = bug == MwBug::SkipHelp;
-  mc.bug_torn_install = bug == MwBug::TornInstall;
-  mc.bug_stale_status = bug == MwBug::StaleStatus;
+void apply_bug(mwcas::MwConfig& mc, Bug bug) {
+  mc.bug_skip_help = bug == Bug::MwSkipHelp;
+  mc.bug_torn_install = bug == Bug::MwTornInstall;
+  mc.bug_stale_status = bug == Bug::MwStaleStatus;
 }
 
 }  // namespace
@@ -64,58 +53,30 @@ bool mw_outcomes_differ(const MwCase& fc, const MwOutcome& a,
          a.stats.recoveries != b.stats.recoveries;
 }
 
-const char* to_string(MwBug b) {
-  switch (b) {
-    case MwBug::None: return "none";
-    case MwBug::SkipHelp: return "skip-help";
-    case MwBug::TornInstall: return "torn-install";
-    case MwBug::StaleStatus: return "stale-status";
-  }
-  return "?";
-}
-
-MwCase make_mw_case(std::uint64_t seed, bool reduced, int ops_per_client) {
+MwCase make_mw_case(std::uint64_t seed, bool reduced) {
   sim::Rng rng(seed, 0x6d77);
   MwCase fc;
   fc.seed = seed;
-  fc.nodes = 1 + static_cast<int>(rng.next_below(2));
-  fc.users_per_node = 1 + static_cast<int>(rng.next_below(3));
-  if (fc.nodes * fc.users_per_node < 2) fc.users_per_node = 2;
-  fc.ghosts = 1 + static_cast<int>(rng.next_below(2));
-  switch (rng.next_below(4)) {
-    case 0: fc.mode = KvMode::Original; break;
-    case 1: fc.mode = KvMode::Thread; break;
-    default: fc.mode = KvMode::Casper; break;
-  }
-  fc.binding =
-      rng.next_below(2) ? core::Binding::Segment : core::Binding::Rank;
-  switch (rng.next_below(4)) {
-    case 0: fc.dynamic = core::DynamicLb::None; break;
-    case 1: fc.dynamic = core::DynamicLb::Random; break;
-    case 2: fc.dynamic = core::DynamicLb::OpCounting; break;
-    default: fc.dynamic = core::DynamicLb::ByteCounting; break;
-  }
+  draw_deployment(rng, fc, /*draw_mode=*/true);
   // A deliberately tiny heap: descriptors collide, helpers run, and the
   // hot-head draw below concentrates most ops on the first few words.
   fc.words_per_rank = 1 + static_cast<int>(rng.next_below(2));
   const int total = fc.total_words();
   const int hot = total < 4 ? total : 4;
-  // Always draw, then override (repro files record the override).
-  const int drawn = reduced ? 4 + static_cast<int>(rng.next_below(8))
-                            : 12 + static_cast<int>(rng.next_below(20));
-  const int opsper = ops_per_client > 0 ? ops_per_client : drawn;
+  const int opsper = reduced ? 4 + static_cast<int>(rng.next_below(8))
+                             : 12 + static_cast<int>(rng.next_below(20));
   const int max_width = total < 4 ? total : 4;
 
   // Per-client RNG streams keep each client's program (and think times)
   // independent of every other client's draws — and tie-free.
   std::vector<sim::Rng> crng;
-  for (int c = 0; c < fc.nclients(); ++c) {
+  for (int c = 0; c < fc.nusers(); ++c) {
     crng.emplace_back(seed, 0x300 + static_cast<std::uint64_t>(c));
   }
   // Client-minor interleave, like kv::make_ops: a global prefix truncation
   // cuts every client's program evenly.
   for (int k = 0; k < opsper; ++k) {
-    for (int c = 0; c < fc.nclients(); ++c) {
+    for (int c = 0; c < fc.nusers(); ++c) {
       sim::Rng& r = crng[static_cast<std::size_t>(c)];
       MwProgOp op;
       op.client = c;
@@ -152,52 +113,13 @@ MwCase make_mw_case(std::uint64_t seed, bool reduced, int ops_per_client) {
 }
 
 void add_mw_net_faults(MwCase& fc) {
-  sim::Rng rng(fc.seed, 0xfa6d7);
-  fault::FaultPlan& fp = fc.fault_plan;
-  fp.seed = fc.seed ^ 0x6d77a5a5a5a5a5a5ULL;
-  fault::NetFaults& n = fp.net;
-  const std::uint64_t mix = rng.next_below(8);
-  if (mix == 0 || (mix & 1) != 0) n.drop_p = 0.02 + 0.13 * rng.next_double();
-  if (mix == 1 || (mix & 2) != 0) n.dup_p = 0.02 + 0.13 * rng.next_double();
-  if (mix == 2 || (mix & 4) != 0) {
-    n.delay_p = 0.05 + 0.25 * rng.next_double();
-    n.delay_min = sim::us(1);
-    n.delay_max = sim::us(5 + rng.next_below(40));
-  }
-  if (rng.next_below(3) == 0) n.ack_drop_p = 0.02 + 0.10 * rng.next_double();
-}
-
-std::vector<int> mw_ghost_ranks(const MwCase& fc) {
-  if (fc.mode != KvMode::Casper) return {};
-  net::Topology topo;
-  topo.nodes = fc.nodes;
-  topo.cores_per_node = fc.users_per_node + fc.ghosts;
-  core::Config cc;
-  cc.ghosts_per_node = fc.ghosts;
-  std::vector<int> out;
-  for (int w = 0; w < topo.nranks(); ++w) {
-    if (core::is_ghost_rank(topo, cc, w)) out.push_back(w);
-  }
-  return out;
+  add_lossy_network(fc, 0xfa6d7, 0x6d77a5a5a5a5a5a5ULL);
 }
 
 MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
                       int shards, std::size_t op_limit) {
   const bool sharded = shards > 1;
-  mpi::RunConfig rc;
-  rc.machine.profile = net::cray_xc30_regular();
-  rc.machine.topo.nodes = fc.nodes;
-  rc.machine.topo.cores_per_node =
-      fc.mode == KvMode::Casper ? fc.users_per_node + fc.ghosts
-                                : fc.users_per_node;
-  rc.seed = fc.seed;
-  rc.perturb_seed = perturb_seed;
-  rc.shards = shards;
-  if (!sharded && fc.fault_plan.active()) rc.fault = &fc.fault_plan;
-  if (fc.mode == KvMode::Thread) {
-    rc.progress.kind = progress::Kind::Thread;
-    rc.progress.oversubscribed = true;
-  }
+  mpi::RunConfig rc = run_config(fc, perturb_seed, shards);
 
   obs::Recorder rec;
   if (obs::kTraceCompiled) {
@@ -337,13 +259,7 @@ MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
     }
   };
 
-  core::Config cc;
-  cc.ghosts_per_node = fc.ghosts;
-  cc.binding = fc.binding;
-  cc.dynamic = fc.dynamic;
-  mpi::Runtime rt(rc, body,
-                  fc.mode == KvMode::Casper ? core::layer(cc)
-                                            : mpi::LayerFactory{});
+  mpi::Runtime rt(rc, body, layer_for(fc, casper_config(fc)));
   if (!sharded) rt.add_observer(&oracle);
   rt.add_observer(&race);
   rt.add_observer(&checker);
@@ -373,58 +289,42 @@ MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
       }
     }
   }
-  if (fc.fault_plan.active()) {
-    for (const auto& [key, val] : rt.stats().all()) {
-      if (key.rfind("fault.", 0) == 0 || key.rfind("recovery.", 0) == 0) {
-        out.fault_stats[key] = val;
-      }
-    }
-  }
+  out.fault_stats = fault_stats(fc, out.run_stats);
   return out;
 }
 
-std::string write_mw_repro(const MwRepro& r, const MwCase& fc,
-                           const MwOutcome& out, const std::string& dir) {
-  char name[128];
-  std::snprintf(name, sizeof(name),
-                "casper_mwcas_repro_s%" PRIu64 "_p%" PRIu64 ".txt", r.seed,
-                r.perturb);
-  const std::string path = dir.empty() ? name : dir + "/" + name;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return {};
-  std::fprintf(f, "%s\n", kMwReproHeader);
-  std::fprintf(f, "# replay: fuzz_conformance --replay %s\n", path.c_str());
-  std::fprintf(f, "kind %s\n", r.kind.c_str());
-  std::fprintf(f, "seed %" PRIu64 "\n", r.seed);
-  std::fprintf(f, "perturb %" PRIu64 "\n", r.perturb);
-  std::fprintf(f, "prefix %d\n", r.prefix_ops);
-  std::fprintf(f, "opsper %d\n", r.ops_per_client);
-  std::fprintf(f, "reduced %d\n", r.reduced ? 1 : 0);
-  std::fprintf(f, "bug %d\n", static_cast<int>(r.bug));
-  if (r.plan.active()) {
-    std::fprintf(f,
-                 "netfault seed=%" PRIu64 " drop=%.17g dup=%.17g delay=%.17g "
-                 "dmin=%" PRIu64 " dmax=%" PRIu64 " ackdrop=%.17g "
-                 "rto=%" PRIu64 " maxretries=%d hb=%" PRIu64 "\n",
-                 r.plan.seed, r.plan.net.drop_p, r.plan.net.dup_p,
-                 r.plan.net.delay_p, r.plan.net.delay_min,
-                 r.plan.net.delay_max, r.plan.net.ack_drop_p, r.plan.rto_base,
-                 r.plan.max_retries, r.plan.heartbeat_period);
-    for (const auto& k : r.plan.kills) {
-      std::fprintf(f, "kill rank=%d at=%" PRIu64 "\n", k.world_rank, k.at);
-    }
-  }
-  std::fprintf(f,
-               "case mode=%s nodes=%d users_per_node=%d ghosts=%d "
-               "binding=%s dynamic=%d words_per_rank=%d bug=%s\n",
-               to_string(fc.mode), fc.nodes, fc.users_per_node, fc.ghosts,
-               binding_name(fc.binding), static_cast<int>(fc.dynamic),
-               fc.words_per_rank, to_string(fc.bug));
+MwCase MwWorkload::generate(std::uint64_t seed) const {
+  MwCase fc = make_mw_case(seed, spec.reduced);
+  if (spec.net_faults) add_mw_net_faults(fc);
+  fc.bug = spec.bug;
+  return fc;
+}
+
+MwOutcome MwWorkload::run(const MwCase& fc, std::uint64_t perturb,
+                          int prefix) const {
+  return run_mw_case(fc, perturb, 1, static_cast<std::size_t>(prefix));
+}
+
+std::string MwWorkload::judge(const MwCase& fc, const MwOutcome& ref,
+                              const MwOutcome& out) const {
+  if (out.violations > 0) return "mwcas-violation";
+  if (out.divergences > 0 || out.atomicity > 0 || out.race_conflicts > 0)
+    return "mwcas-oracle-divergence";
+  if (mw_outcomes_differ(fc, ref, out)) return "mwcas-mismatch";
+  return "";
+}
+
+bool MwWorkload::candidate(const MwCase& fc) const {
+  return fc.bug == Bug::None ||
+         (fc.nusers() >= 2 && fc.total_words() <= 6);
+}
+
+void MwWorkload::describe(std::FILE* f, const MwCase& fc,
+                          const MwOutcome& out, int prefix) const {
+  std::fprintf(f, "case %s words_per_rank=%d\n", to_string(fc).c_str(),
+               fc.words_per_rank);
   const std::size_t nshow =
-      r.prefix_ops > 0
-          ? std::min<std::size_t>(static_cast<std::size_t>(r.prefix_ops),
-                                  fc.ops.size())
-          : fc.ops.size();
+      std::min<std::size_t>(static_cast<std::size_t>(prefix), fc.ops.size());
   for (std::size_t i = 0; i < nshow && i < 256; ++i) {
     const MwProgOp& op = fc.ops[i];
     std::fprintf(f, "op %zu client=%d width=%d stale=%d think=%" PRIu64
@@ -441,241 +341,6 @@ std::string write_mw_repro(const MwRepro& r, const MwCase& fc,
   }
   std::fprintf(f, "history_hash %" PRIu64 "\n", out.history_hash);
   std::fprintf(f, "checker_ops %zu\n", out.checker_ops);
-  std::fclose(f);
-  return path;
-}
-
-bool is_mw_repro(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  char line[128] = {};
-  const bool ok = std::fgets(line, sizeof line, f) != nullptr &&
-                  std::strncmp(line, kMwReproHeader,
-                               std::strlen(kMwReproHeader)) == 0;
-  std::fclose(f);
-  return ok;
-}
-
-bool parse_mw_repro(const std::string& path, MwRepro& out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  char line[512];
-  bool have_seed = false, have_kind = false;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    char kind[64];
-    int b = 0;
-    if (std::sscanf(line, "kind %63s", kind) == 1) {
-      out.kind = kind;
-      have_kind = true;
-    } else if (std::sscanf(line, "seed %" SCNu64, &out.seed) == 1) {
-      have_seed = true;
-    } else if (std::sscanf(line, "perturb %" SCNu64, &out.perturb) == 1) {
-    } else if (std::sscanf(line, "prefix %d", &out.prefix_ops) == 1) {
-    } else if (std::sscanf(line, "opsper %d", &out.ops_per_client) == 1) {
-    } else if (std::sscanf(line, "reduced %d", &b) == 1) {
-      out.reduced = b != 0;
-    } else if (std::sscanf(line, "bug %d", &b) == 1) {
-      out.bug = static_cast<MwBug>(b);
-    } else if (std::sscanf(line,
-                           "netfault seed=%" SCNu64 " drop=%lg dup=%lg "
-                           "delay=%lg dmin=%" SCNu64 " dmax=%" SCNu64
-                           " ackdrop=%lg rto=%" SCNu64 " maxretries=%d "
-                           "hb=%" SCNu64,
-                           &out.plan.seed, &out.plan.net.drop_p,
-                           &out.plan.net.dup_p, &out.plan.net.delay_p,
-                           &out.plan.net.delay_min, &out.plan.net.delay_max,
-                           &out.plan.net.ack_drop_p, &out.plan.rto_base,
-                           &out.plan.max_retries,
-                           &out.plan.heartbeat_period) == 10) {
-    } else {
-      fault::GhostKill k;
-      if (std::sscanf(line, "kill rank=%d at=%" SCNu64, &k.world_rank,
-                      &k.at) == 2) {
-        out.plan.kills.push_back(k);
-      }
-    }
-  }
-  std::fclose(f);
-  return have_seed && have_kind;
-}
-
-bool replay_mw(const MwRepro& r) {
-  MwCase fc = make_mw_case(r.seed, r.reduced, r.ops_per_client);
-  fc.bug = r.bug;
-  if (r.plan.active()) fc.fault_plan = r.plan;
-  const std::size_t limit =
-      r.prefix_ops > 0 ? static_cast<std::size_t>(r.prefix_ops)
-                       : ~std::size_t{0};
-  if (r.kind == "mwcas-mismatch") {
-    const MwOutcome ref = run_mw_case(fc, perturb_for(r.seed, 0), 1, limit);
-    const MwOutcome out = run_mw_case(fc, r.perturb, 1, limit);
-    return mw_outcomes_differ(fc, ref, out);
-  }
-  const MwOutcome out = run_mw_case(fc, r.perturb, 1, limit);
-  if (r.kind == "mwcas-violation") return out.violations > 0;
-  if (r.kind == "mwcas-oracle-divergence") {
-    return out.divergences > 0 || out.atomicity > 0 ||
-           out.race_conflicts > 0;
-  }
-  return !out.clean();
-}
-
-namespace {
-
-Failure mw_failure(const MwCase& fc, std::uint64_t perturb,
-                   const std::string& kind, const MwCampaignOptions& opt,
-                   const std::function<bool(std::size_t)>& fails_at) {
-  const int k = minimize_prefix(
-      static_cast<int>(fc.ops.size()),
-      [&](int n) { return fails_at(static_cast<std::size_t>(n)); });
-  const MwOutcome rerun =
-      run_mw_case(fc, perturb, 1, static_cast<std::size_t>(k));
-  MwRepro rp;
-  rp.seed = fc.seed;
-  rp.perturb = perturb;
-  rp.prefix_ops = k;
-  rp.ops_per_client = 0;
-  rp.reduced = opt.reduced;
-  rp.bug = fc.bug;
-  rp.plan = fc.fault_plan;
-  rp.kind = kind;
-  Failure fl;
-  fl.seed = fc.seed;
-  fl.perturb = perturb;
-  fl.kind = kind;
-  fl.minimized_ops = k;
-  fl.repro_path = write_mw_repro(rp, fc, rerun, opt.repro_dir);
-  return fl;
-}
-
-}  // namespace
-
-MwCampaignResult run_mw_campaign(const MwCampaignOptions& opt) {
-  MwCampaignResult res;
-  for (int c = 0; c < opt.cases; ++c) {
-    const std::uint64_t seed = opt.base_seed + static_cast<std::uint64_t>(c);
-    MwCase fc = make_mw_case(seed, opt.reduced);
-    if (opt.net_faults) add_mw_net_faults(fc);
-    ++res.cases_run;
-    MwOutcome ref;
-    bool have_ref = false;
-    bool failed = false;
-    for (int s = 0; s < opt.schedules && !failed; ++s) {
-      const std::uint64_t p = perturb_for(seed, s);
-      const MwOutcome out = run_mw_case(fc, p);
-      ++res.runs;
-      res.total_ops += out.checker_ops;
-      if (out.violations > 0) {
-        res.failures.push_back(mw_failure(
-            fc, p, "mwcas-violation", opt, [&](std::size_t n) {
-              return run_mw_case(fc, p, 1, n).violations > 0;
-            }));
-        failed = true;
-        break;
-      }
-      if (out.divergences > 0 || out.atomicity > 0 ||
-          out.race_conflicts > 0) {
-        res.failures.push_back(mw_failure(
-            fc, p, "mwcas-oracle-divergence", opt, [&](std::size_t n) {
-              const MwOutcome o = run_mw_case(fc, p, 1, n);
-              return o.divergences > 0 || o.atomicity > 0 ||
-                     o.race_conflicts > 0;
-            }));
-        failed = true;
-        break;
-      }
-      if (!have_ref) {
-        ref = out;
-        have_ref = true;
-        continue;
-      }
-      // Cross-schedule invariance of the program-fixed counts (see
-      // mw_outcomes_differ for the fields tie order may legally move).
-      if (mw_outcomes_differ(fc, ref, out)) {
-        res.failures.push_back(mw_failure(
-            fc, p, "mwcas-mismatch", opt, [&](std::size_t n) {
-              const MwOutcome a = run_mw_case(fc, perturb_for(seed, 0), 1, n);
-              const MwOutcome b = run_mw_case(fc, p, 1, n);
-              return mw_outcomes_differ(fc, a, b);
-            }));
-        failed = true;
-        break;
-      }
-    }
-    if (opt.verbose && (c + 1) % 50 == 0) {
-      std::fprintf(stderr,
-                   "mwfuzz: %d/%d cases, %d runs, %" PRIu64
-                   " ops, %zu failure(s)\n",
-                   c + 1, opt.cases, res.runs, res.total_ops,
-                   res.failures.size());
-    }
-  }
-  return res;
-}
-
-bool mwcas_proof(std::uint64_t base_seed, int schedules,
-                 const std::string& out_dir, bool verbose) {
-  const MwBug bugs[3] = {MwBug::SkipHelp, MwBug::TornInstall,
-                         MwBug::StaleStatus};
-  for (const MwBug bug : bugs) {
-    bool proven = false;
-    for (std::uint64_t seed = base_seed; seed < base_seed + 200; ++seed) {
-      MwCase fc = make_mw_case(seed, /*reduced=*/true);
-      // Every bug needs real contention: several clients hammering a word
-      // pool small enough that descriptors collide mid-protocol.
-      if (fc.nclients() < 2 || fc.total_words() > 6) continue;
-      fc.bug = bug;
-      std::uint64_t bad_perturb = 0;
-      bool caught = false;
-      for (int s = 0; s < schedules; ++s) {
-        const std::uint64_t p = perturb_for(seed, s);
-        const MwOutcome out = run_mw_case(fc, p);
-        if (out.violations > 0) {
-          bad_perturb = p;
-          caught = true;
-          break;
-        }
-      }
-      if (!caught) continue;
-      if (verbose) {
-        std::fprintf(stderr,
-                     "mwcas_proof: %s caught at seed %" PRIu64 "\n",
-                     to_string(bug), seed);
-      }
-      const int k = minimize_prefix(
-          static_cast<int>(fc.ops.size()), [&](int n) {
-            return run_mw_case(fc, bad_perturb, 1,
-                               static_cast<std::size_t>(n))
-                       .violations > 0;
-          });
-      const MwOutcome rerun =
-          run_mw_case(fc, bad_perturb, 1, static_cast<std::size_t>(k));
-      if (rerun.violations == 0) return false;
-      MwRepro rp;
-      rp.seed = seed;
-      rp.perturb = bad_perturb;
-      rp.prefix_ops = k;
-      rp.ops_per_client = 0;
-      rp.reduced = true;
-      rp.bug = bug;
-      rp.plan = fc.fault_plan;
-      rp.kind = "mwcas-violation";
-      const std::string path = write_mw_repro(rp, fc, rerun, out_dir);
-      if (path.empty()) return false;
-      MwRepro parsed;
-      if (!parse_mw_repro(path, parsed)) return false;
-      if (!replay_mw(parsed)) return false;
-      if (verbose) {
-        std::fprintf(stderr,
-                     "mwcas_proof: %s minimized to %d ops, repro %s\n",
-                     to_string(bug), k, path.c_str());
-      }
-      proven = true;
-      break;
-    }
-    if (!proven) return false;
-  }
-  return true;
 }
 
 }  // namespace casper::check

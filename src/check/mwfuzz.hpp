@@ -1,5 +1,5 @@
-// Seeded MWCAS-program fuzzing: the multi-word-atomics analogue of the KV
-// fuzzer (check/kvfuzz.hpp), driving src/mwcas/ over a shared word heap.
+// Seeded MWCAS-program fuzzing: the MWCAS workload of check::Campaign
+// (check/campaign.hpp), driving src/mwcas/ over a shared word heap.
 //
 // A seed deterministically generates a case — progress mode, topology,
 // Casper binding/dynamic policy, heap shape (words per rank), and a
@@ -17,33 +17,22 @@
 //   * a perturbed schedule's outcome differs from schedule 0 in a count
 //     the client programs fix ("mwcas-mismatch"; see mw_outcomes_differ).
 //
-// mwcas_proof() is the positive gate: for EACH planted bug (skip-help,
-// torn-install, stale-status — see MwConfig) it scans seeds under contention
-// until the checker catches the bug, minimizes the failing global op prefix,
-// writes a replayable repro, re-parses and replays it.
+// Each planted protocol bug (Bug::MwSkipHelp, MwTornInstall, MwStaleStatus;
+// see MwConfig) must be caught by the campaign's proof pipeline under
+// contention.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "check/fuzz.hpp"
-#include "check/kvfuzz.hpp"
+#include "check/campaign.hpp"
 #include "check/mwlinear.hpp"
-#include "fault/plan.hpp"
 #include "mwcas/mwcas.hpp"
 
 namespace casper::check {
-
-/// Which planted protocol bug (if any) a case runs with.
-enum class MwBug : std::uint8_t {
-  None = 0,
-  SkipHelp = 1,
-  TornInstall = 2,
-  StaleStatus = 3,
-};
-const char* to_string(MwBug b);
 
 /// One generated program step. width == 0 is a single-word read; width >= 1
 /// is an MWCAS over `width` distinct global words (expected values are
@@ -58,30 +47,18 @@ struct MwProgOp {
 };
 
 /// A complete generated MWCAS test case.
-struct MwCase {
-  std::uint64_t seed = 0;
-  KvMode mode = KvMode::Casper;
-  int nodes = 1;
-  int users_per_node = 2;
-  int ghosts = 1;
-  core::Binding binding = core::Binding::Rank;
-  core::DynamicLb dynamic = core::DynamicLb::None;
+struct MwCase : Deployment {
   int words_per_rank = 2;  ///< heap data words each rank owns
   mwcas::MwConfig mw;
-  MwBug bug = MwBug::None;
-  fault::FaultPlan fault_plan;
   std::vector<MwProgOp> ops;
 
-  int nclients() const { return nodes * users_per_node; }
-  int total_words() const { return nclients() * words_per_rank; }
+  int total_words() const { return nusers() * words_per_rank; }
 };
 
-MwCase make_mw_case(std::uint64_t seed, bool reduced, int ops_per_client = 0);
+MwCase make_mw_case(std::uint64_t seed, bool reduced);
 
 /// Seed-derived lossy network for chaos MWCAS runs.
 void add_mw_net_faults(MwCase& fc);
-/// World ranks of the case's ghosts (Casper mode only).
-std::vector<int> mw_ghost_ranks(const MwCase& fc);
 
 struct MwOutcome {
   std::size_t violations = 0;
@@ -121,49 +98,25 @@ MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
 bool mw_outcomes_differ(const MwCase& fc, const MwOutcome& a,
                         const MwOutcome& b);
 
-/// Everything needed to replay one MWCAS failure.
-struct MwRepro {
-  std::uint64_t seed = 0;
-  std::uint64_t perturb = 0;
-  int prefix_ops = 0;
-  int ops_per_client = 0;
-  bool reduced = true;
-  MwBug bug = MwBug::None;
-  fault::FaultPlan plan;
-  /// "mwcas-violation" | "mwcas-oracle-divergence" | "mwcas-mismatch".
-  std::string kind;
+/// The MWCAS workload adapter of check::Campaign.
+struct MwWorkload {
+  using Case = MwCase;
+  using Outcome = MwOutcome;
+  CaseSpec spec;
+
+  /// make_mw_case; then --faults and the planted bug.
+  Case generate(std::uint64_t seed) const;
+  Outcome run(const Case& fc, std::uint64_t perturb, int prefix) const;
+  /// "mwcas-violation", then "mwcas-oracle-divergence", then
+  /// "mwcas-mismatch" (mw_outcomes_differ against `ref`).
+  std::string judge(const Case& fc, const Outcome& ref,
+                    const Outcome& out) const;
+  /// Every planted bug needs real contention: several clients hammering a
+  /// word pool small enough that descriptors collide mid-protocol.
+  bool candidate(const Case& fc) const;
+  static std::uint64_t tally(const Outcome& out) { return out.checker_ops; }
+  void describe(std::FILE* f, const Case& fc, const Outcome& out,
+                int prefix) const;
 };
-
-std::string write_mw_repro(const MwRepro& r, const MwCase& fc,
-                           const MwOutcome& out, const std::string& dir);
-bool parse_mw_repro(const std::string& path, MwRepro& out);
-bool is_mw_repro(const std::string& path);
-bool replay_mw(const MwRepro& r);
-
-struct MwCampaignOptions {
-  std::uint64_t base_seed = 1;
-  int cases = 100;
-  int schedules = 4;
-  bool reduced = true;
-  bool net_faults = false;
-  std::string repro_dir = ".";
-  bool verbose = false;
-};
-
-struct MwCampaignResult {
-  int cases_run = 0;
-  int runs = 0;
-  std::uint64_t total_ops = 0;
-  std::vector<Failure> failures;
-};
-
-/// Clean-protocol corpus: checker, oracle, race analyzer, and cross-schedule
-/// exact-match all gate every case.
-MwCampaignResult run_mw_campaign(const MwCampaignOptions& opt);
-
-/// Positive detection gate over ALL THREE planted bugs; each must be caught,
-/// minimized, written, re-parsed, and replayed.
-bool mwcas_proof(std::uint64_t base_seed, int schedules,
-                 const std::string& out_dir, bool verbose);
 
 }  // namespace casper::check

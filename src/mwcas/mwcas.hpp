@@ -84,7 +84,7 @@ struct MwConfig {
   sim::Time backoff_base = sim::ns(300);
   int backoff_cap = 8;
   int max_help_depth = 6;  ///< nested-help recursion bound
-  // --- planted bugs (tests / mwcas_proof only) -----------------------------
+  // --- planted bugs (tests / the fuzz campaign's proof only) --------------
   bool bug_skip_help = false;     ///< reads/installs never help foreign ops
   bool bug_torn_install = false;  ///< phase 2 writes desired on Failed too
   bool bug_stale_status = false;  ///< helpers phase-2 with their entry status

@@ -1,62 +1,45 @@
-// Conformance fuzzer driver (not a gtest binary).
-//
-// Default run (what ctest invokes): a reduced corpus of seeded programs, each
-// executed under several perturbed fiber schedules with the shadow oracle
-// attached, followed by a fault-proof phase that injects the deliberate
-// segment-binding bug and REQUIRES the harness to catch it and produce a
-// replayable repro. Exits non-zero on any real failure — including the
-// injected bug going undetected, which would mean the harness lost its teeth.
+// Fuzz campaign driver (not a gtest binary): one check::Campaign over one of
+// three workloads, followed by the proof that the workload's planted bugs
+// are caught.
 //
 //   fuzz_conformance [--cases N] [--schedules N] [--base-seed N] [--full]
-//                    [--faults] [--races N] [--out DIR] [--no-fault-proof]
-//                    [--verbose]
+//                    [--faults] [--races N | --adaptive | --kv N [--lockfree]
+//                    | --mwcas N] [--out DIR] [--no-fault-proof] [--verbose]
 //   fuzz_conformance --replay FILE      # re-run a recorded repro
 //
-// --faults additionally subjects every case to a seed-derived lossy network
-// (dropped / duplicated / delayed-reordered AMs and dropped acks): the
-// reliable AM layer must keep the oracle clean under every mix, and any
-// failure's repro file embeds the triggering FaultPlan.
+// Default (what ctest invokes): --cases seeded RMA programs, each run under
+// --schedules perturbed fiber schedules with the shadow oracle and the race
+// analyzer attached. --races N plants N same-epoch conflicting access pairs
+// per case and fails unless the analyzer flags every one in every schedule
+// ("race-miss"); in the default clean corpus any analyzer conflict is a
+// "race-conflict". --adaptive forces the online progress controller on for
+// every case instead of the seed stream's ~25%.
 //
-// --races N switches to racy mode: every case is generated with N planted
-// same-epoch conflicting access pairs and the run fails unless the race
-// analyzer flags every planted pair in every schedule ("race-miss" repro
-// otherwise). The default clean corpus doubles as the analyzer's
-// false-positive gate: any conflict there is a "race-conflict" failure.
+// --kv N runs N seeded KV-store workloads (Zipfian op mixes over the
+// RMA-backed store, all three progress modes) with the linearizability
+// checker and the shadow oracle attached; --lockfree runs every store in the
+// MWCAS-guarded lock-free bucket mode. --mwcas N runs N seeded multi-word-CAS
+// programs over tiny contended word heaps with the MWCAS linearizability
+// adapter, the oracle and the race analyzer attached, and fails on any
+// cross-schedule mismatch of a program-fixed count as well.
 //
-// --kv N switches to KV mode: N seeded KV-store workloads (Zipfian op mixes
-// over the RMA-backed store, all three progress modes) are replayed under
-// perturbed schedules with the linearizability checker riding as the
-// store's history sink and the shadow oracle attached. Any violation is
-// minimized to a global op prefix and written as a "kv-violation" repro.
-// Afterwards, kv_proof plants the skip-unlock-flush store bug under a
-// delay-heavy network and REQUIRES the checker to catch it (the
-// fault-proof analogue; skipped with --no-fault-proof). --faults composes:
-// each KV case additionally runs under a seed-derived lossy network.
-// --lockfree composes with --kv: every case's store runs in the MWCAS-
-// guarded lock-free bucket mode (LockKind::LockFree) instead of the
-// seed-drawn spinlock/ticket lock; kv_proof still runs its own locked
-// cases (the planted skip-unlock-flush bug has no unlock to ride in
-// lock-free mode).
+// --faults composes with every workload: each case also runs under a
+// seed-derived lossy network, and a failure's repro embeds the FaultPlan.
+//
+// Every failure is minimized to its shortest failing op prefix and written
+// as a repro file in --out. After the campaign, the proof plants each of the
+// workload's bugs (the flipped segment binding; the KV store's skipped
+// unlock flush; the MWCAS skip-help, torn-install and stale-status bugs) and
+// REQUIRES the campaign to catch, minimize, write, re-parse and replay it —
+// a harness that misses a planted bug has lost its teeth. --no-fault-proof
+// skips it; racy mode has none. Exits 0 only when the corpus is clean and
+// every proof held; 2 on a usage error.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
-//
-// --mwcas N switches to MWCAS mode: N seeded multi-word-CAS programs over
-// the descriptor-based mwcas library (tiny contended word heaps, all three
-// progress modes) run under perturbed schedules with the MWCAS
-// linearizability adapter, the shadow oracle, AND the race analyzer all
-// attached. A case fails on an unlinearizable history, any oracle/atomicity/
-// race conflict (the protocol is all atomic-class RMA), or any cross-
-// schedule outcome mismatch. Afterwards, mwcas_proof plants each of the
-// three protocol bugs (skip-help, torn-install, stale-status) and REQUIRES
-// the checker to catch, minimize, and replay every one of them (skipped
-// with --no-fault-proof).
-#include "check/fuzz.hpp"
-#include "check/kvfuzz.hpp"
-#include "check/mwfuzz.hpp"
+#include "check/campaign.hpp"
 
 using namespace casper;
 
@@ -65,98 +48,49 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: fuzz_conformance [--cases N] [--schedules N] "
-               "[--base-seed N] [--full] [--faults] [--races N] [--kv N] "
-               "[--lockfree] [--mwcas N] [--adaptive] [--out DIR] "
+               "[--base-seed N] [--full] [--faults] [--races N | --adaptive "
+               "| --kv N [--lockfree] | --mwcas N] [--out DIR] "
                "[--no-fault-proof] [--verbose] | --replay FILE\n");
   return 2;
 }
 
-/// Inject the flipped segment->ghost binding into suitable cases until one
-/// run trips the oracle; write and replay the repro. Returns true when the
-/// bug was caught AND the repro reproduces it.
-bool fault_proof(std::uint64_t base_seed, int schedules, bool reduced,
-                 const std::string& out_dir, bool verbose) {
-  for (std::uint64_t seed = base_seed; seed < base_seed + 500; ++seed) {
-    check::FuzzCase fc = check::make_case(seed, reduced);
-    // The fault only has a surface when segment binding actually spreads one
-    // target over >= 2 ghosts; adaptive cases resolve through the
-    // controller's map instead of the flippable static owner function.
-    if (fc.binding != core::Binding::Segment || fc.ghosts < 2 ||
-        fc.adaptive) {
-      continue;
-    }
-    for (int s = 0; s < schedules; ++s) {
-      const std::uint64_t p = check::perturb_for(seed, s);
-      const check::RunOutcome out =
-          check::run_case(fc, p, /*inject_flip_fault=*/true);
-      if (out.oracle_clean()) continue;
-
-      const int k = check::minimize_prefix(
-          static_cast<int>(fc.ops.size()), [&](int n) {
-            check::FuzzCase t = fc;
-            t.ops.resize(static_cast<std::size_t>(n));
-            return !check::run_case(t, p, true).oracle_clean();
-          });
-      check::FuzzCase t = fc;
-      t.ops.resize(static_cast<std::size_t>(k));
-      const check::RunOutcome rerun = check::run_case(t, p, true);
-      check::Repro rp;
-      rp.seed = seed;
-      rp.perturb = p;
-      rp.prefix_ops = k;
-      rp.reduced = reduced;
-      rp.fault = true;
-      rp.kind = "oracle-divergence";
-      const std::string path = check::write_repro(rp, fc, rerun, out_dir);
-      if (path.empty()) {
-        std::fprintf(stderr, "fault-proof: could not write repro file\n");
-        return false;
-      }
-      check::Repro back;
-      if (!check::parse_repro(path, back)) {
-        std::fprintf(stderr, "fault-proof: could not parse %s\n",
-                     path.c_str());
-        return false;
-      }
-      if (!check::replay(back)) {
-        std::fprintf(stderr,
-                     "fault-proof: repro %s did not reproduce on replay\n",
-                     path.c_str());
-        return false;
-      }
-      if (verbose) {
-        std::fprintf(stderr,
-                     "fault-proof: injected binding bug caught (seed %" PRIu64
-                     ", schedule %d, minimized to %d op(s)), repro %s "
-                     "replays\n",
-                     seed, s, k, path.c_str());
-      }
-      return true;
-    }
+int replay_file(const char* path) {
+  check::Repro r;
+  if (!check::parse_repro(path, r)) {
+    std::fprintf(stderr,
+                 "replay: %s is not a repro (unreadable, or its first line "
+                 "names no workload: rma|kv|mwcas)\n",
+                 path);
+    return 2;
   }
-  std::fprintf(stderr,
-               "fault-proof: injected binding bug was NOT detected in any "
-               "candidate case\n");
-  return false;
+  const bool reproduced = check::replay(r);
+  std::printf("replay %s: %s (%s %s, seed %" PRIu64 ", perturb %" PRIu64
+              ", %d op prefix)\n",
+              path, reproduced ? "REPRODUCED" : "did not reproduce",
+              check::to_string(r.spec.workload), r.kind.c_str(), r.seed,
+              r.perturb, r.prefix);
+  return reproduced ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   check::CampaignOptions opt;
-  opt.cases = 200;
-  opt.schedules = 4;
-  opt.reduced = true;
+  check::CaseSpec& spec = opt.spec;
   bool do_fault_proof = true;
   int kv_cases = 0;
   int mw_cases = 0;
-  bool force_lockfree = false;
   const char* replay_path = nullptr;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
+    };
+    auto count = [&](int& dst) {
+      const char* v = next();
+      if (v != nullptr) dst = std::atoi(v);
+      return v != nullptr && dst > 0;
     };
     if (a == "--cases") {
       const char* v = next();
@@ -175,34 +109,19 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage();
       opt.repro_dir = v;
     } else if (a == "--full") {
-      opt.reduced = false;
+      spec.reduced = false;
     } else if (a == "--faults") {
-      opt.net_faults = true;
+      spec.net_faults = true;
     } else if (a == "--races") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      opt.planted_races = std::atoi(v);
-      if (opt.planted_races <= 0) return usage();
+      if (!count(spec.races)) return usage();
     } else if (a == "--kv") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      kv_cases = std::atoi(v);
-      if (kv_cases <= 0) return usage();
+      if (!count(kv_cases)) return usage();
     } else if (a == "--lockfree") {
-      // KV mode modifier: force every case's store into the MWCAS-guarded
-      // lock-free bucket mode regardless of the seed-drawn lock kind.
-      force_lockfree = true;
+      spec.lockfree = true;
     } else if (a == "--mwcas") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      mw_cases = std::atoi(v);
-      if (mw_cases <= 0) return usage();
+      if (!count(mw_cases)) return usage();
     } else if (a == "--adaptive") {
-      // Force the online progress controller on for every generated case
-      // (instead of the seed stream's ~25%). The fault-proof phase keeps
-      // drawing its own candidates: the injected static-binding bug has no
-      // surface under the controller's map.
-      opt.force_adaptive = true;
+      spec.adaptive = true;
     } else if (a == "--no-fault-proof") {
       do_fault_proof = false;
     } else if (a == "--verbose") {
@@ -214,125 +133,40 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
+  // One workload per run; each modifier belongs to one workload.
+  if (kv_cases > 0 && mw_cases > 0) return usage();
+  if ((kv_cases > 0 || mw_cases > 0) && (spec.races > 0 || spec.adaptive)) {
+    return usage();
+  }
+  if (spec.lockfree && kv_cases == 0) return usage();
 
-  if (replay_path != nullptr && check::is_mw_repro(replay_path)) {
-    check::MwRepro r;
-    if (!check::parse_mw_repro(replay_path, r)) {
-      std::fprintf(stderr, "replay: cannot parse %s\n", replay_path);
-      return 2;
-    }
-    const bool reproduced = check::replay_mw(r);
-    std::printf("replay %s: %s (%s, seed %" PRIu64 ", perturb %" PRIu64
-                ", %d op prefix, bug %s)\n",
-                replay_path, reproduced ? "REPRODUCED" : "did not reproduce",
-                r.kind.c_str(), r.seed, r.perturb, r.prefix_ops,
-                check::to_string(r.bug));
-    return reproduced ? 0 : 1;
-  }
-  if (replay_path != nullptr && check::is_kv_repro(replay_path)) {
-    check::KvRepro r;
-    if (!check::parse_kv_repro(replay_path, r)) {
-      std::fprintf(stderr, "replay: cannot parse %s\n", replay_path);
-      return 2;
-    }
-    const bool reproduced = check::replay_kv(r);
-    std::printf("replay %s: %s (%s, seed %" PRIu64 ", perturb %" PRIu64
-                ", %d op prefix)\n",
-                replay_path, reproduced ? "REPRODUCED" : "did not reproduce",
-                r.kind.c_str(), r.seed, r.perturb, r.prefix_ops);
-    return reproduced ? 0 : 1;
-  }
-  if (replay_path != nullptr) {
-    check::Repro r;
-    if (!check::parse_repro(replay_path, r)) {
-      std::fprintf(stderr, "replay: cannot parse %s\n", replay_path);
-      return 2;
-    }
-    const bool reproduced = check::replay(r);
-    std::printf("replay %s: %s (%s, seed %" PRIu64 ", perturb %" PRIu64
-                ", %d op prefix)\n",
-                replay_path, reproduced ? "REPRODUCED" : "did not reproduce",
-                r.kind.c_str(), r.seed, r.perturb, r.prefix_ops);
-    return reproduced ? 0 : 1;
-  }
+  if (replay_path != nullptr) return replay_file(replay_path);
 
-  if (mw_cases > 0) {
-    check::MwCampaignOptions mopt;
-    mopt.base_seed = opt.base_seed;
-    mopt.cases = mw_cases;
-    mopt.schedules = opt.schedules;
-    mopt.reduced = opt.reduced;
-    mopt.net_faults = opt.net_faults;
-    mopt.repro_dir = opt.repro_dir;
-    mopt.verbose = opt.verbose;
-    const check::MwCampaignResult mres = check::run_mw_campaign(mopt);
-    std::printf("fuzz_conformance [--mwcas]%s: %d case(s) x %d schedule(s) = "
-                "%d run(s), %" PRIu64 " checked MWCAS op(s), %zu failure(s)\n",
-                mopt.net_faults ? " [--faults]" : "", mres.cases_run,
-                mopt.schedules, mres.runs, mres.total_ops,
-                mres.failures.size());
-    for (const auto& f : mres.failures) {
-      std::fprintf(stderr,
-                   "FAILURE seed %" PRIu64 " perturb %" PRIu64
-                   " kind %s minimized %d op(s) repro %s\n",
-                   f.seed, f.perturb, f.kind.c_str(), f.minimized_ops,
-                   f.repro_path.c_str());
-    }
-    bool mw_ok = mres.failures.empty();
-    // The positive gate: all three planted protocol bugs must be caught,
-    // minimized, and replayable.
-    if (do_fault_proof) {
-      mw_ok = check::mwcas_proof(mopt.base_seed, mopt.schedules,
-                                 mopt.repro_dir, mopt.verbose || true) &&
-              mw_ok;
-    }
-    return mw_ok ? 0 : 1;
-  }
-
+  const char* mode_tag = "";
+  const char* noun = "observed commits";
   if (kv_cases > 0) {
-    check::KvCampaignOptions kopt;
-    kopt.base_seed = opt.base_seed;
-    kopt.cases = kv_cases;
-    kopt.schedules = opt.schedules;
-    kopt.reduced = opt.reduced;
-    kopt.net_faults = opt.net_faults;
-    kopt.force_lockfree = force_lockfree;
-    kopt.repro_dir = opt.repro_dir;
-    kopt.verbose = opt.verbose;
-    const check::KvCampaignResult kres = check::run_kv_campaign(kopt);
-    std::printf("fuzz_conformance [--kv]%s%s: %d case(s) x %d schedule(s) = "
-                "%d run(s), %" PRIu64 " checked KV op(s), %zu failure(s)\n",
-                kopt.net_faults ? " [--faults]" : "",
-                kopt.force_lockfree ? " [--lockfree]" : "", kres.cases_run,
-                kopt.schedules, kres.runs, kres.total_ops,
-                kres.failures.size());
-    for (const auto& f : kres.failures) {
-      std::fprintf(stderr,
-                   "FAILURE seed %" PRIu64 " perturb %" PRIu64
-                   " kind %s minimized %d op(s) repro %s\n",
-                   f.seed, f.perturb, f.kind.c_str(), f.minimized_ops,
-                   f.repro_path.c_str());
-    }
-    bool kv_ok = kres.failures.empty();
-    // KV's positive gate: the planted skip-unlock-flush store bug must be
-    // caught, minimized, and replayable.
-    if (do_fault_proof) {
-      kv_ok = check::kv_proof(kopt.base_seed, kopt.schedules, kopt.repro_dir,
-                              kopt.verbose || true) &&
-              kv_ok;
-    }
-    return kv_ok ? 0 : 1;
+    spec.workload = check::Workload::Kv;
+    opt.cases = kv_cases;
+    mode_tag = " [--kv]";
+    noun = "checked KV op(s)";
+  } else if (mw_cases > 0) {
+    spec.workload = check::Workload::Mwcas;
+    opt.cases = mw_cases;
+    mode_tag = " [--mwcas]";
+    noun = "checked MWCAS op(s)";
   }
 
-  const check::CampaignResult res = check::run_campaign(opt);
-  std::printf("fuzz_conformance%s%s%s: %d case(s) x %d schedule(s) = %d "
-              "run(s), %" PRIu64 " observed commits, %zu failure(s)\n",
-              opt.net_faults ? " [--faults]" : "",
-              opt.planted_races > 0 ? " [--races]" : "",
-              opt.force_adaptive ? " [--adaptive]" : "", res.cases_run,
-              opt.schedules, res.runs, res.total_commits,
+  const check::Campaign campaign(opt);
+  const check::CampaignResult res = campaign.run();
+  std::printf("fuzz_conformance%s%s%s%s%s: %d case(s) x %d schedule(s) = %d "
+              "run(s), %" PRIu64 " %s, %zu failure(s)\n",
+              mode_tag, spec.net_faults ? " [--faults]" : "",
+              spec.races > 0 ? " [--races]" : "",
+              spec.adaptive ? " [--adaptive]" : "",
+              spec.lockfree ? " [--lockfree]" : "", res.cases_run,
+              opt.schedules, res.runs, res.checked, noun,
               res.failures.size());
-  for (const auto& f : res.failures) {
+  for (const check::Failure& f : res.failures) {
     std::fprintf(stderr,
                  "FAILURE seed %" PRIu64 " perturb %" PRIu64
                  " kind %s minimized %d op(s) repro %s\n",
@@ -341,13 +175,21 @@ int main(int argc, char** argv) {
   }
 
   bool ok = res.failures.empty();
-  // Fault-proof is an oracle self-test; racy mode judges the race analyzer
-  // and planted races would muddy the injected-bug detection.
-  if (opt.planted_races > 0) do_fault_proof = false;
-  if (do_fault_proof) {
-    ok = fault_proof(opt.base_seed, opt.schedules, opt.reduced, opt.repro_dir,
-                     opt.verbose || true) &&
-         ok;
+  for (const check::Bug bug :
+       do_fault_proof ? campaign.planted_bugs() : std::vector<check::Bug>{}) {
+    const check::ProofResult pr = campaign.prove(bug);
+    const check::Failure& f = pr.failure;
+    if (pr.ok) {
+      std::fprintf(stderr,
+                   "proof %s: caught at seed %" PRIu64
+                   ", schedule %d, minimized to %d op(s), repro %s replays\n",
+                   check::to_string(bug), f.seed, f.schedule,
+                   f.minimized_ops, f.repro_path.c_str());
+    } else {
+      std::fprintf(stderr, "proof %s: FAILED: %s\n", check::to_string(bug),
+                   pr.error.c_str());
+    }
+    ok = pr.ok && ok;
   }
   return ok ? 0 : 1;
 }

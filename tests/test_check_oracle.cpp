@@ -1,13 +1,16 @@
 // Tests for the conformance harness itself: the shadow-memory oracle, the
-// schedule-perturbation hook, the fuzzer's case generator, and the repro
-// round-trip. The harness is only trustworthy if it (a) stays silent on
-// correct executions and (b) provably fires on injected bugs.
+// schedule-perturbation hook, the fuzzer's case generator, the repro
+// round-trip of every workload, and the planted-bug proof pipeline. The
+// harness is only trustworthy if it (a) stays silent on correct executions
+// and (b) provably fires on injected bugs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 
 #include "check/fuzz.hpp"
+#include "check/kvfuzz.hpp"
+#include "check/mwfuzz.hpp"
 #include "check/oracle.hpp"
 #include "mpi/runtime.hpp"
 #include "net/profile.hpp"
@@ -166,11 +169,12 @@ TEST(Fuzzer, PerturbedSchedulesAreReproducibleAndEquivalent) {
 // of life.
 TEST(Fuzzer, InjectedBindingBugIsCaught) {
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
-    const check::FuzzCase fc = check::make_case(seed, true);
+    check::FuzzCase fc = check::make_case(seed, true);
     if (fc.binding != core::Binding::Segment || fc.ghosts < 2) continue;
+    fc.bug = check::Bug::FlipSegmentBinding;
     for (int s = 0; s < 4; ++s) {
       const check::RunOutcome out =
-          check::run_case(fc, check::perturb_for(seed, s), true);
+          check::run_case(fc, check::perturb_for(seed, s));
       if (!out.oracle_clean()) {
         SUCCEED();
         return;
@@ -197,30 +201,30 @@ TEST(Fuzzer, MinimizePrefixFindsSmallestFailing) {
 TEST(Fuzzer, ReproFileRoundTrips) {
   // Find one fault-injected failing case (same hunt as the fault proof).
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
-    const check::FuzzCase fc = check::make_case(seed, true);
+    check::FuzzCase fc = check::make_case(seed, true);
     if (fc.binding != core::Binding::Segment || fc.ghosts < 2) continue;
+    fc.bug = check::Bug::FlipSegmentBinding;
     for (int s = 0; s < 4; ++s) {
       const std::uint64_t p = check::perturb_for(seed, s);
-      const check::RunOutcome out = check::run_case(fc, p, true);
+      const check::RunOutcome out = check::run_case(fc, p);
       if (out.oracle_clean()) continue;
 
       check::Repro rp;
+      rp.spec.bug = check::Bug::FlipSegmentBinding;
+      rp.kind = "oracle-divergence";
       rp.seed = seed;
       rp.perturb = p;
-      rp.prefix_ops = static_cast<int>(fc.ops.size());
-      rp.reduced = true;
-      rp.fault = true;
-      rp.kind = "oracle-divergence";
-      const std::string path =
-          check::write_repro(rp, fc, out, testing::TempDir());
+      rp.prefix = static_cast<int>(fc.ops.size());
+      const std::string path = check::write_repro(rp, testing::TempDir());
       ASSERT_FALSE(path.empty());
       check::Repro back;
       ASSERT_TRUE(check::parse_repro(path, back));
+      EXPECT_EQ(back.spec.workload, check::Workload::Rma);
       EXPECT_EQ(back.seed, rp.seed);
       EXPECT_EQ(back.perturb, rp.perturb);
-      EXPECT_EQ(back.prefix_ops, rp.prefix_ops);
-      EXPECT_EQ(back.reduced, rp.reduced);
-      EXPECT_EQ(back.fault, rp.fault);
+      EXPECT_EQ(back.prefix, rp.prefix);
+      EXPECT_EQ(back.spec.reduced, rp.spec.reduced);
+      EXPECT_EQ(back.spec.bug, rp.spec.bug);
       EXPECT_EQ(back.kind, rp.kind);
       EXPECT_TRUE(check::replay(back));
       std::remove(path.c_str());
@@ -230,3 +234,108 @@ TEST(Fuzzer, ReproFileRoundTrips) {
   FAIL() << "no fault-injected failure found to round-trip";
 }
 
+namespace {
+
+/// The first seed whose case runs under Casper ghosts, for each workload.
+check::Deployment casper_case(check::Workload w) {
+  for (std::uint64_t seed = 1;; ++seed) {
+    check::Deployment d;
+    switch (w) {
+      case check::Workload::Rma: d = check::make_case(seed, true); break;
+      case check::Workload::Kv: d = check::make_kv_case(seed, true); break;
+      case check::Workload::Mwcas: d = check::make_mw_case(seed, true); break;
+    }
+    if (d.mode == check::ProgressMode::Casper) return d;
+  }
+}
+
+}  // namespace
+
+// The one FaultPlan block carries net faults, kills AND stalls through the
+// repro file of every workload.
+TEST(Fuzzer, ReproCarriesWholeFaultPlanForEveryWorkload) {
+  for (const check::Workload w :
+       {check::Workload::Rma, check::Workload::Kv, check::Workload::Mwcas}) {
+    const check::Deployment d = casper_case(w);
+    const std::vector<int> ghosts = check::ghost_ranks(d);
+    ASSERT_FALSE(ghosts.empty()) << check::to_string(w);
+    check::Repro rp;
+    rp.spec.workload = w;
+    rp.kind = "schedule-divergence";
+    rp.seed = d.seed;
+    rp.perturb = check::perturb_for(d.seed, 1);
+    rp.prefix = 3;
+    fault::FaultPlan& plan = rp.plan;
+    plan.seed = 0x1234567890abcdefULL;
+    plan.net.drop_p = 0.1;
+    plan.net.dup_p = 1.0 / 3.0;
+    plan.net.delay_p = 0.25;
+    plan.net.delay_min = sim::us(2);
+    plan.net.delay_max = sim::us(17);
+    plan.net.ack_drop_p = 0.05;
+    plan.rto_base = sim::us(9);
+    plan.max_retries = 7;
+    plan.heartbeat_period = sim::us(3);
+    plan.kills.push_back({ghosts.back(), sim::us(20)});
+    plan.stalls.push_back({ghosts.front(), sim::us(5), sim::us(4)});
+    const std::string path = check::write_repro(rp, testing::TempDir());
+    ASSERT_FALSE(path.empty()) << check::to_string(w);
+    check::Repro back;
+    ASSERT_TRUE(check::parse_repro(path, back)) << check::to_string(w);
+    EXPECT_EQ(back.spec.workload, w);
+    EXPECT_EQ(back.kind, rp.kind);
+    EXPECT_EQ(back.seed, rp.seed);
+    EXPECT_EQ(back.perturb, rp.perturb);
+    EXPECT_EQ(back.prefix, rp.prefix);
+    const fault::FaultPlan& got = back.plan;
+    EXPECT_EQ(got.seed, plan.seed) << check::to_string(w);
+    EXPECT_EQ(got.net.drop_p, plan.net.drop_p);
+    EXPECT_EQ(got.net.dup_p, plan.net.dup_p);
+    EXPECT_EQ(got.net.delay_p, plan.net.delay_p);
+    EXPECT_EQ(got.net.delay_min, plan.net.delay_min);
+    EXPECT_EQ(got.net.delay_max, plan.net.delay_max);
+    EXPECT_EQ(got.net.ack_drop_p, plan.net.ack_drop_p);
+    EXPECT_EQ(got.rto_base, plan.rto_base);
+    EXPECT_EQ(got.max_retries, plan.max_retries);
+    EXPECT_EQ(got.heartbeat_period, plan.heartbeat_period);
+    ASSERT_EQ(got.kills.size(), 1u) << check::to_string(w);
+    EXPECT_EQ(got.kills[0].world_rank, plan.kills[0].world_rank);
+    EXPECT_EQ(got.kills[0].at, plan.kills[0].at);
+    ASSERT_EQ(got.stalls.size(), 1u) << check::to_string(w);
+    EXPECT_EQ(got.stalls[0].world_rank, plan.stalls[0].world_rank);
+    EXPECT_EQ(got.stalls[0].at, plan.stalls[0].at);
+    EXPECT_EQ(got.stalls[0].duration, plan.stalls[0].duration);
+    std::remove(path.c_str());
+  }
+}
+
+// The one proof pipeline catches every planted bug at its known seed and
+// minimized length, and each written repro replays through the dispatcher
+// `fuzz_conformance --replay` uses.
+TEST(Fuzzer, ProofCatchesEveryPlantedBugAndReplays) {
+  const struct {
+    check::Bug bug;
+    std::uint64_t seed;
+    int ops;
+  } expect[] = {{check::Bug::FlipSegmentBinding, 1, 15},
+                {check::Bug::KvSkipUnlockFlush, 38, 40},
+                {check::Bug::MwSkipHelp, 1, 4},
+                {check::Bug::MwTornInstall, 3, 3},
+                {check::Bug::MwStaleStatus, 6, 7}};
+  check::CampaignOptions opt;
+  opt.schedules = 2;
+  opt.repro_dir = testing::TempDir();
+  const check::Campaign campaign(opt);
+  for (const auto& e : expect) {
+    const check::ProofResult pr = campaign.prove(e.bug);
+    ASSERT_TRUE(pr.ok) << check::to_string(e.bug) << ": " << pr.error;
+    EXPECT_EQ(pr.failure.seed, e.seed) << check::to_string(e.bug);
+    EXPECT_EQ(pr.failure.schedule, 0) << check::to_string(e.bug);
+    EXPECT_EQ(pr.failure.minimized_ops, e.ops) << check::to_string(e.bug);
+    check::Repro back;
+    ASSERT_TRUE(check::parse_repro(pr.failure.repro_path, back));
+    EXPECT_EQ(back.spec.bug, e.bug);
+    EXPECT_TRUE(check::replay(back)) << pr.failure.repro_path;
+    std::remove(pr.failure.repro_path.c_str());
+  }
+}

@@ -252,7 +252,7 @@ TEST(KvCollision, ChainFillsThenOverflows) {
 
 // --- round-trip: every progress mode x ghost count runs the same workload --
 
-check::KvCase fixed_case(check::KvMode mode, int ghosts) {
+check::KvCase fixed_case(check::ProgressMode mode, int ghosts) {
   check::KvCase fc;
   fc.seed = 42;
   fc.mode = mode;
@@ -268,12 +268,12 @@ check::KvCase fixed_case(check::KvMode mode, int ghosts) {
   fc.traffic.ops_per_client = 25;
   fc.traffic.think_mean = sim::us(2);
   fc.traffic.seed = fc.seed;
-  fc.ops = kv::make_ops(fc.traffic, fc.nclients());
+  fc.ops = kv::make_ops(fc.traffic, fc.nusers());
   return fc;
 }
 
 struct ModeGhost {
-  check::KvMode mode;
+  check::ProgressMode mode;
   int ghosts;
 };
 
@@ -297,11 +297,11 @@ TEST_P(KvRoundTrip, WorkloadIsCleanUnderEveryProgressModel) {
 
 INSTANTIATE_TEST_SUITE_P(
     ModesAndGhosts, KvRoundTrip,
-    ::testing::Values(ModeGhost{check::KvMode::Original, 1},
-                      ModeGhost{check::KvMode::Thread, 1},
-                      ModeGhost{check::KvMode::Casper, 1},
-                      ModeGhost{check::KvMode::Casper, 2},
-                      ModeGhost{check::KvMode::Casper, 4}),
+    ::testing::Values(ModeGhost{check::ProgressMode::Original, 1},
+                      ModeGhost{check::ProgressMode::Thread, 1},
+                      ModeGhost{check::ProgressMode::Casper, 1},
+                      ModeGhost{check::ProgressMode::Casper, 2},
+                      ModeGhost{check::ProgressMode::Casper, 4}),
     [](const auto& info) {
       std::string n = check::to_string(info.param.mode);
       n += "_g";
@@ -319,7 +319,7 @@ INSTANTIATE_TEST_SUITE_P(
 // event including its virtual-time interval).
 
 TEST(KvDeterminism, PerturbedSchedulesMatchReferenceExactly) {
-  const check::KvCase fc = fixed_case(check::KvMode::Casper, 2);
+  const check::KvCase fc = fixed_case(check::ProgressMode::Casper, 2);
   const check::KvOutcome ref = check::run_kv_case(fc, /*perturb=*/0);
   ASSERT_EQ(ref.violations, 0u);
   ASSERT_GT(ref.checker_ops, 0u);
@@ -336,7 +336,7 @@ TEST(KvDeterminism, PerturbedSchedulesMatchReferenceExactly) {
 }
 
 TEST(KvDeterminism, ShardCountsMatchReferenceExactly) {
-  const check::KvCase fc = fixed_case(check::KvMode::Casper, 2);
+  const check::KvCase fc = fixed_case(check::ProgressMode::Casper, 2);
   const check::KvOutcome ref = check::run_kv_case(fc, /*perturb=*/0);
   ASSERT_EQ(ref.violations, 0u);
   for (int shards : {2, 4, 8}) {
@@ -352,7 +352,7 @@ TEST(KvDeterminism, ShardCountsMatchReferenceExactly) {
 // --- chaos: lossy network + ghost kill, checker stays clean ---------------
 
 TEST(KvChaos, LossyNetworkKeepsHistoryLinearizable) {
-  check::KvCase fc = fixed_case(check::KvMode::Casper, 2);
+  check::KvCase fc = fixed_case(check::ProgressMode::Casper, 2);
   check::add_kv_net_faults(fc);
   ASSERT_TRUE(fc.fault_plan.active());
   const check::KvOutcome out = check::run_kv_case(fc, /*perturb=*/0);
@@ -364,8 +364,8 @@ TEST(KvChaos, LossyNetworkKeepsHistoryLinearizable) {
 }
 
 TEST(KvChaos, GhostKillRecoveryKeepsHistoryLinearizable) {
-  check::KvCase fc = fixed_case(check::KvMode::Casper, 2);
-  const std::vector<int> ghosts = check::kv_ghost_ranks(fc);
+  check::KvCase fc = fixed_case(check::ProgressMode::Casper, 2);
+  const std::vector<int> ghosts = check::ghost_ranks(fc);
   ASSERT_GE(ghosts.size(), 2u);
   fault::GhostKill kill;
   kill.world_rank = ghosts[0];

@@ -1,8 +1,8 @@
 // Linearizability checker (src/check/linear.*) unit tests: hand-built legal
 // and illegal histories exercise the register semantics and the Wing–Gong
 // search directly, a deliberately broken KV store variant (skipped
-// unlock-ordering flush) proves end-to-end detection, and kv_proof() proves
-// the whole catch → minimize → write → replay pipeline holds.
+// unlock-ordering flush) proves end-to-end detection, and the campaign's
+// proof shows the whole catch → minimize → write → replay pipeline holds.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -173,14 +173,17 @@ TEST(LinearChecker, ResetClearsEverything) {
 // --- end-to-end: the broken store variant must be caught ------------------
 
 TEST(LinearCheckerEndToEnd, KvProofCatchesPlantedBugAndReproReplays) {
-  // kv_proof plants KvConfig::skip_unlock_flush (value PUT unordered
+  // The proof plants KvConfig::skip_unlock_flush (value PUT unordered
   // w.r.t. the lock release) under a delay-heavy network, requires the
   // checker to flag the stale read, minimizes the failing op prefix, writes
-  // the repro file, re-parses it, and replays it. Any weak link returns
-  // false.
-  const std::string dir = ::testing::TempDir();
-  EXPECT_TRUE(check::kv_proof(/*base_seed=*/1, /*schedules=*/2, dir,
-                              /*verbose=*/false));
+  // the repro file, re-parses it, and replays it. Any weak link fails it.
+  check::CampaignOptions opt;
+  opt.base_seed = 1;
+  opt.schedules = 2;
+  opt.repro_dir = ::testing::TempDir();
+  const check::ProofResult pr =
+      check::Campaign(opt).prove(check::Bug::KvSkipUnlockFlush);
+  EXPECT_TRUE(pr.ok) << pr.error;
 }
 
 }  // namespace

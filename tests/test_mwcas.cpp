@@ -37,7 +37,7 @@ mpi::RunConfig base_config(int nodes, int cores_per_node,
 /// contended reads and 2-/3-word MWCASes over an 8-word pool. Reused across
 /// the determinism and chaos suites so mode/shard/schedule comparisons all
 /// see the identical workload.
-check::MwCase fixed_case(check::KvMode mode, int ghosts,
+check::MwCase fixed_case(check::ProgressMode mode, int ghosts,
                          core::Binding binding, core::DynamicLb dynamic) {
   check::MwCase fc;
   fc.seed = 77;
@@ -50,11 +50,11 @@ check::MwCase fixed_case(check::KvMode mode, int ghosts,
   fc.words_per_rank = 2;  // 4 clients x 2 = 8-word pool
   const int total = fc.total_words();
   std::vector<sim::Rng> crng;
-  for (int c = 0; c < fc.nclients(); ++c) {
+  for (int c = 0; c < fc.nusers(); ++c) {
     crng.emplace_back(fc.seed, 0x500 + static_cast<std::uint64_t>(c));
   }
   for (int k = 0; k < 10; ++k) {
-    for (int c = 0; c < fc.nclients(); ++c) {
+    for (int c = 0; c < fc.nusers(); ++c) {
       sim::Rng& r = crng[static_cast<std::size_t>(c)];
       check::MwProgOp op;
       op.client = c;
@@ -502,12 +502,12 @@ TEST(MwcasDeterminism, WidthSweepUnder64PerturbedSchedules) {
 
 TEST(MwcasDeterminism, ShardCountsMatchAcrossAllProgressModes) {
   const struct {
-    check::KvMode mode;
+    check::ProgressMode mode;
     int ghosts;
-  } modes[] = {{check::KvMode::Original, 1},
-               {check::KvMode::Thread, 1},
-               {check::KvMode::Casper, 1},
-               {check::KvMode::Casper, 2}};
+  } modes[] = {{check::ProgressMode::Original, 1},
+               {check::ProgressMode::Thread, 1},
+               {check::ProgressMode::Casper, 1},
+               {check::ProgressMode::Casper, 2}};
   for (const auto& m : modes) {
     const check::MwCase fc = fixed_case(m.mode, m.ghosts, core::Binding::Rank,
                                         core::DynamicLb::None);
@@ -543,7 +543,7 @@ TEST(MwcasDeterminism, ShardCountsMatchAcrossAllProgressModes) {
 // races; see Seed46TieMovesOnlyExemptFields. ShardCountsMatchAcrossAll-
 // ProgressModes still pins perturb-0 behaviour exactly in every mode.)
 TEST(MwcasDeterminism, CasperSchedulesMatchReferenceExactly) {
-  const check::MwCase fc = fixed_case(check::KvMode::Casper, 1,
+  const check::MwCase fc = fixed_case(check::ProgressMode::Casper, 1,
                                       core::Binding::Segment,
                                       core::DynamicLb::None);
   const check::MwOutcome ref = check::run_mw_case(fc, /*perturb=*/0);
@@ -568,7 +568,7 @@ TEST(MwcasDeterminism, CasperSchedulesMatchReferenceExactly) {
 // completion time and timed history are the only fields that move.
 TEST(MwcasDeterminism, Seed46TieMovesOnlyExemptFields) {
   const check::MwCase fc = check::make_mw_case(46, /*reduced=*/true);
-  ASSERT_EQ(fc.mode, check::KvMode::Casper);
+  ASSERT_EQ(fc.mode, check::ProgressMode::Casper);
   ASSERT_EQ(fc.ghosts, 1);
   ASSERT_EQ(fc.binding, core::Binding::Segment);
   ASSERT_EQ(fc.dynamic, core::DynamicLb::None);
@@ -594,7 +594,7 @@ TEST(MwcasDeterminism, Seed46TieMovesOnlyExemptFields) {
 // --- chaos: lossy network and ghost kill mid-descriptor --------------------
 
 TEST(MwcasChaos, LossyNetworkKeepsHistoryLinearizable) {
-  check::MwCase fc = fixed_case(check::KvMode::Casper, 2,
+  check::MwCase fc = fixed_case(check::ProgressMode::Casper, 2,
                                 core::Binding::Segment,
                                 core::DynamicLb::None);
   check::add_mw_net_faults(fc);
@@ -608,10 +608,10 @@ TEST(MwcasChaos, LossyNetworkKeepsHistoryLinearizable) {
 }
 
 TEST(MwcasChaos, GhostKillMidDescriptorLosesNoUpdates) {
-  check::MwCase fc = fixed_case(check::KvMode::Casper, 2,
+  check::MwCase fc = fixed_case(check::ProgressMode::Casper, 2,
                                 core::Binding::Segment,
                                 core::DynamicLb::None);
-  const std::vector<int> ghosts = check::mw_ghost_ranks(fc);
+  const std::vector<int> ghosts = check::ghost_ranks(fc);
   ASSERT_GE(ghosts.size(), 2u);
   fault::GhostKill kill;
   kill.world_rank = ghosts[0];
@@ -628,11 +628,11 @@ TEST(MwcasChaos, GhostKillMidDescriptorLosesNoUpdates) {
 }
 
 TEST(MwcasChaos, GhostKillPlusLossyNetworkStaysClean) {
-  check::MwCase fc = fixed_case(check::KvMode::Casper, 2,
+  check::MwCase fc = fixed_case(check::ProgressMode::Casper, 2,
                                 core::Binding::Segment,
                                 core::DynamicLb::None);
   check::add_mw_net_faults(fc);
-  const std::vector<int> ghosts = check::mw_ghost_ranks(fc);
+  const std::vector<int> ghosts = check::ghost_ranks(fc);
   ASSERT_GE(ghosts.size(), 2u);
   fault::GhostKill kill;
   kill.world_rank = ghosts[1];
@@ -648,13 +648,13 @@ TEST(MwcasChaos, GhostKillPlusLossyNetworkStaysClean) {
 // --- planted bugs are caught by the adapter (single-case spot checks) ------
 
 TEST(MwcasBugs, EachPlantedBugProducesViolations) {
-  for (const check::MwBug bug :
-       {check::MwBug::SkipHelp, check::MwBug::TornInstall,
-        check::MwBug::StaleStatus}) {
+  for (const check::Bug bug :
+       {check::Bug::MwSkipHelp, check::Bug::MwTornInstall,
+        check::Bug::MwStaleStatus}) {
     bool caught = false;
     for (std::uint64_t seed = 1; seed <= 40 && !caught; ++seed) {
       check::MwCase fc = check::make_mw_case(seed, /*reduced=*/true);
-      if (fc.nclients() < 2 || fc.total_words() > 6) continue;
+      if (fc.nusers() < 2 || fc.total_words() > 6) continue;
       fc.bug = bug;
       for (int s = 0; s < 2 && !caught; ++s) {
         caught = check::run_mw_case(fc, check::perturb_for(seed, s))
