@@ -14,6 +14,10 @@ The ratchet contract (see DESIGN.md "Hot-path memory model"):
     (getrusage high-water mark of the bench process) must stay within
     baseline*(1+tol), lowest run compared. Memory is a near-deterministic
     function of the simulated state, so this ratchets memory growth.
+  - Atomicity: no document may carry rows from a run that recorded an
+    atomicity violation. The runtime touches "atomicity_violations" at zero
+    in every run, so every runtime metrics block carries it; a nonzero value
+    fails the document, fresh run or committed baseline alike.
   - Best-of-N: every bench is run N times (the run*/ directories); the best
     host number across runs is the one compared, so a single noisy run never
     fails the gate.
@@ -61,6 +65,17 @@ def best_run(name, docs):
     if not with_host:
         return 0
     return min(with_host, key=lambda i: fig_host_ms(docs[i]))
+
+
+def check_atomicity(name, doc, where):
+    counters = (doc.get("metrics") or {}).get("counters", {})
+    n = counters.get("atomicity_violations", 0)
+    if n != 0:
+        return fail(
+            f"{name}: {where} records {n} atomicity violation(s); no BENCH "
+            f"row may come from a run whose accumulates lost atomicity"
+        )
+    return 0
 
 
 def compare_exact(name, what, new, old):
@@ -322,6 +337,14 @@ def main():
             continue
         docs = [load(p) for p in paths]
         base_path = os.path.join(args.baseline_dir, fname)
+        bad = 0
+        for p, doc in zip(paths, docs):
+            bad |= check_atomicity(name, doc, p)
+        if os.path.exists(base_path) and not args.update:
+            bad |= check_atomicity(name, load(base_path), base_path)
+        if bad:
+            rc |= bad
+            continue
 
         if args.update:
             src = paths[best_run(name, docs)]

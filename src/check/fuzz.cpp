@@ -553,7 +553,7 @@ RunOutcome run_case(const FuzzCase& fc, std::uint64_t perturb_seed) {
     out.race_diags.push_back(c.diag);
     if (out.race_diags.size() >= 8) break;
   }
-  out.fault_stats = fault_stats(fc, rt.stats().all());
+  out.fault_stats = fault_stats(fc, rt.stats().counters());
   if (want_trace) out.trace_tail = rec.trace().tail_text(32);
   return out;
 }

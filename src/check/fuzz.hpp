@@ -114,7 +114,7 @@ struct RunOutcome {
   std::vector<Divergence> divergences;
   std::uint64_t atomicity_violations = 0;
   std::uint64_t commits = 0;
-  /// fault.* / recovery.* engine counters (empty when the run had no plan).
+  /// fault.* / recovery.* counters (empty when the run had no plan).
   std::map<std::string, std::uint64_t> fault_stats;
   std::vector<std::uint64_t> content_hash;  ///< per user rank, own segment
   std::vector<sim::Engine::SchedRecord> trace;

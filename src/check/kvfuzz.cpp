@@ -61,10 +61,7 @@ KvOutcome run_kv_case(const KvCase& fc, std::uint64_t perturb_seed,
   mpi::RunConfig rc = run_config(fc, perturb_seed, shards);
 
   obs::Recorder rec;
-  if (obs::kTraceCompiled) {
-    rc.recorder = &rec;
-    if (sharded) rec.set_shards(shards);
-  }
+  if (obs::kTraceCompiled) rc.recorder = &rec;
 
   kv::KvConfig store_cfg = fc.store;
   store_cfg.skip_unlock_flush = fc.bug == Bug::KvSkipUnlockFlush;
@@ -95,10 +92,9 @@ KvOutcome run_kv_case(const KvCase& fc, std::uint64_t perturb_seed,
   rt.add_observer(&checker);
   rt.run();
 
-  if (obs::kTraceCompiled) {
-    rec.merge_shards();
-    checker.set_recorder(&rec);
-  }
+  // run() folded the registry; the checker adds its linear.* counters to
+  // it, so one snapshot below holds every counter of the run.
+  if (obs::kTraceCompiled) checker.set_recorder(&rec);
   out.violations = checker.check().size();
   for (const LinearChecker::Violation& v : checker.check()) {
     out.diags.push_back("key " + std::to_string(v.key) + ":\n" + v.diag);
@@ -106,17 +102,15 @@ KvOutcome run_kv_case(const KvCase& fc, std::uint64_t perturb_seed,
   }
   out.history_hash = checker.history_hash();
   out.checker_ops = checker.ops_recorded();
-  out.atomicity = rt.stats().get("atomicity_violations");
-  out.run_stats = rt.stats().all();
   if (!sharded) out.divergences = oracle.divergences().size();
-  if (obs::kTraceCompiled) {
-    for (const auto& [key, val] : rec.metrics().counters()) {
-      if (key.rfind("kv.", 0) == 0 || key.rfind("linear.", 0) == 0) {
-        out.metrics[key] = val;
-      }
+  const obs::Metrics& counters = rt.stats();
+  out.atomicity = counters.get("atomicity_violations");
+  for (const auto& [key, val] : counters.counters()) {
+    if (key.rfind("kv.", 0) == 0 || key.rfind("linear.", 0) == 0) {
+      out.metrics[key] = val;
     }
   }
-  out.fault_stats = fault_stats(fc, out.run_stats);
+  out.fault_stats = fault_stats(fc, counters.counters());
   return out;
 }
 

@@ -62,7 +62,6 @@ struct KvOutcome {
   std::uint64_t acc_ops = 0;            ///< server-side ACC op total
   std::uint64_t divergences = 0;        ///< shadow-oracle (unsharded only)
   std::uint64_t atomicity = 0;          ///< runtime atomicity violations
-  std::map<std::string, std::uint64_t> run_stats;   ///< engine counters
   std::map<std::string, std::uint64_t> metrics;     ///< kv.* / linear.*
   std::map<std::string, std::uint64_t> fault_stats; ///< fault.* / recovery.*
 

@@ -122,10 +122,7 @@ MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
   mpi::RunConfig rc = run_config(fc, perturb_seed, shards);
 
   obs::Recorder rec;
-  if (obs::kTraceCompiled) {
-    rc.recorder = &rec;
-    if (sharded) rec.set_shards(shards);
-  }
+  if (obs::kTraceCompiled) rc.recorder = &rec;
 
   mwcas::MwConfig mc = fc.mw;
   apply_bug(mc, fc.bug);
@@ -265,8 +262,9 @@ MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
   rt.add_observer(&checker);
   rt.run();
 
+  // run() folded the registry; the checkers add their own counters to it,
+  // so one snapshot below holds every counter of the run.
   if (obs::kTraceCompiled) {
-    rec.merge_shards();
     checker.set_recorder(&rec);
     race.set_recorder(&rec);
   }
@@ -278,18 +276,16 @@ MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
   out.history_hash = checker.history_hash();
   out.semantic_hash = checker.semantic_hash();
   out.checker_ops = checker.ops_recorded();
-  out.atomicity = rt.stats().get("atomicity_violations");
   out.race_conflicts = race.conflict_events();
-  out.run_stats = rt.stats().all();
   if (!sharded) out.divergences = oracle.divergences().size();
-  if (obs::kTraceCompiled) {
-    for (const auto& [key, val] : rec.metrics().counters()) {
-      if (key.rfind("mwcas.", 0) == 0 || key.rfind("linear.", 0) == 0) {
-        out.metrics[key] = val;
-      }
+  const obs::Metrics& counters = rt.stats();
+  out.atomicity = counters.get("atomicity_violations");
+  for (const auto& [key, val] : counters.counters()) {
+    if (key.rfind("mwcas.", 0) == 0 || key.rfind("linear.", 0) == 0) {
+      out.metrics[key] = val;
     }
   }
-  out.fault_stats = fault_stats(fc, out.run_stats);
+  out.fault_stats = fault_stats(fc, counters.counters());
   return out;
 }
 

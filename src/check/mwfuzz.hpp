@@ -72,7 +72,6 @@ struct MwOutcome {
   std::uint64_t divergences = 0;
   std::uint64_t atomicity = 0;
   std::uint64_t race_conflicts = 0;
-  std::map<std::string, std::uint64_t> run_stats;
   std::map<std::string, std::uint64_t> metrics;     ///< mwcas.* / linear.*
   std::map<std::string, std::uint64_t> fault_stats;
 

@@ -425,25 +425,21 @@ class CasperLayer final : public mpi::Layer {
   Config cfg_;
   std::shared_ptr<mpi::Pmpi> pmpi_;
 
-  /// Hot-path counter pointers, resolved once at construction (stats map
-  /// nodes are stable): per-op increments must not pay a string lookup.
-  /// One pointer per engine shard (each shard owns a stats replica, merged
-  /// after the run); index with shard_idx(). Unsharded runs hold a single
-  /// pointer into the global stats, so behaviour is unchanged.
-  std::vector<std::uint64_t*> stat_dynamic_ops_;
-  std::vector<std::uint64_t*> stat_split_subops_;
-  std::vector<std::uint64_t*> stat_self_ops_;
-  /// Recorder metric pointers (null if obs off). Also null when sharded: the
-  /// recorder's per-shard replicas are created at run() — after this layer's
-  /// constructor — so sharded runs fall back to the per-shard metrics map
-  /// lookup at the call site instead of caching a pointer here.
-  std::uint64_t* plan_hit_ = nullptr;
-  std::uint64_t* plan_miss_ = nullptr;
-
-  /// Index into the per-shard stat pointer vectors for the calling worker
-  /// thread (0 on the main thread and in single-shard runs).
-  static std::size_t shard_idx() {
-    return static_cast<std::size_t>(sim::Engine::current_shard());
+  /// Hot-path counter pointers into the runtime's registry replicas,
+  /// resolved once at construction (map nodes are stable): per-op
+  /// increments must not pay a string lookup. One block per engine shard;
+  /// hot() picks the calling worker thread's. plan_hit/plan_miss are null
+  /// without a recorder and are only bumped under obs::on.
+  struct HotCounters {
+    std::uint64_t* dynamic_ops = nullptr;
+    std::uint64_t* split_subops = nullptr;
+    std::uint64_t* self_ops = nullptr;
+    std::uint64_t* plan_hit = nullptr;
+    std::uint64_t* plan_miss = nullptr;
+  };
+  std::vector<HotCounters> hot_;
+  HotCounters& hot() {
+    return hot_[static_cast<std::size_t>(sim::Engine::current_shard())];
   }
 
   // topology-derived, computed once in the constructor

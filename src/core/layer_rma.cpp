@@ -215,13 +215,7 @@ const std::vector<CasperLayer::SubOp>& CasperLayer::plan_lookup(
         e.disp_bytes == disp_bytes && e.tcount == tcount &&
         e.tdt.base == tdt.base && e.tdt.blocklen == tdt.blocklen &&
         e.tdt.stride == tdt.stride) {
-      if (plan_hit_ != nullptr) {
-        ++*plan_hit_;
-      } else if (obs::on(rt_->recorder())) {
-        // Sharded: no cached pointer (replicas appear after construction);
-        // bump this shard's metrics replica through the routed accessor.
-        ++rt_->recorder()->metrics().counter("casper.plan_cache_hit");
-      }
+      if (obs::on(rt_->recorder())) ++*hot().plan_hit;
       return e.subs;
     }
   }
@@ -237,11 +231,7 @@ const std::vector<CasperLayer::SubOp>& CasperLayer::plan_lookup(
       break;
     }
   }
-  if (plan_miss_ != nullptr) {
-    ++*plan_miss_;
-  } else if (obs::on(rt_->recorder())) {
-    ++rt_->recorder()->metrics().counter("casper.plan_cache_miss");
-  }
+  if (obs::on(rt_->recorder())) ++*hot().plan_miss;
   victim->gen = pc.gen;
   victim->target = target;
   victim->disp_bytes = disp_bytes;
@@ -448,7 +438,6 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
                          static_cast<std::uint64_t>(
                              iw->comm()->world_rank(ghost)),
                          static_cast<std::uint64_t>(lb), bytes);
-      ++rec->metrics().counter("casper.dynamic_ops");
       ++rec->metrics().counter(std::string("casper.lb.") + lb_name(lb));
     }
     note_redirect(ghost, bytes);
@@ -459,7 +448,7 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
     } else {
       pmpi_->get(env, res, rc, rdt, ghost, gdisp, tc, tdt, iw);
     }
-    ++*stat_dynamic_ops_[shard_idx()];
+    ++*hot().dynamic_ops;
     return;
   }
 
@@ -569,8 +558,7 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
       default:
         break;
     }
-    ++*stat_split_subops_[shard_idx()];
-    if (rec != nullptr) ++rec->metrics().counter("casper.split_subops");
+    ++*hot().split_subops;
   }
   if (fetches) {
     // The pieces land in `gather` asynchronously; unpacking into the user's
@@ -630,9 +618,7 @@ void CasperLayer::exec_self(Env& env, OpKind kind, AccOp op, const void* o,
     default:
       MMPI_REQUIRE(false, "casper: bad self op");
   }
-  ++*stat_self_ops_[shard_idx()];
-  if (obs::on(rt_->recorder()))
-    ++rt_->recorder()->metrics().counter("casper.self_ops");
+  ++*hot().self_ops;
 
   if (rt_->has_observers()) {
     // Self PUT/GET bypass the runtime's AM path entirely (direct load/store

@@ -74,26 +74,21 @@ CasperLayer::CasperLayer(mpi::Runtime& rt, Config cfg)
                "%d-core node",
                cfg_.ghosts_per_node, rt_->topo().cores_per_node);
   pmpi_ = std::make_shared<mpi::Pmpi>(rt);
-  // One counter pointer per shard: a worker thread must bump its own shard's
-  // stats replica (merged after the run). Unsharded, shard_stats(0) is the
-  // global stats object and this is the old single-pointer behaviour.
-  auto& eng = rt_->engine();
-  const std::size_t nshards = static_cast<std::size_t>(eng.shards());
-  stat_dynamic_ops_.resize(nshards);
-  stat_split_subops_.resize(nshards);
-  stat_self_ops_.resize(nshards);
-  for (std::size_t s = 0; s < nshards; ++s) {
-    sim::Stats& st = eng.shard_stats(static_cast<int>(s));
-    stat_dynamic_ops_[s] = &st.counter("casper_dynamic_ops");
-    stat_split_subops_[s] = &st.counter("casper_split_subops");
-    stat_self_ops_[s] = &st.counter("casper_self_ops");
-  }
-  if (obs::on(rt_->recorder()) && !eng.sharded()) {
-    // Sharded runs skip the cached pointers: the recorder's per-shard metric
-    // replicas only exist once run() starts, so those paths do the (colder)
-    // per-shard map lookup at the call site instead.
-    plan_hit_ = &rt_->recorder()->metrics().counter("casper.plan_cache_hit");
-    plan_miss_ = &rt_->recorder()->metrics().counter("casper.plan_cache_miss");
+  // One counter block per shard: a worker thread bumps its own shard's
+  // registry replica (folded after the run). The plan-cache counters are
+  // recorder-gated instrumentation, so they exist only when one is attached.
+  const bool traced = obs::on(rt_->recorder());
+  hot_.resize(static_cast<std::size_t>(rt_->engine().shards()));
+  for (std::size_t s = 0; s < hot_.size(); ++s) {
+    obs::Metrics& m = rt_->stats_replica(static_cast<int>(s));
+    HotCounters& h = hot_[s];
+    h.dynamic_ops = &m.counter("casper.dynamic_ops");
+    h.split_subops = &m.counter("casper.split_subops");
+    h.self_ops = &m.counter("casper.self_ops");
+    if (traced) {
+      h.plan_hit = &m.counter("casper.plan_cache_hit");
+      h.plan_miss = &m.counter("casper.plan_cache_miss");
+    }
   }
   setup_topology();
   setup_fault_recovery();

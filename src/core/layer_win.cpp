@@ -63,7 +63,7 @@ Win CasperLayer::win_allocate(Env& env, std::size_t bytes, std::size_t du,
   // and the paper's scope). Other communicators fall through to the MPI
   // implementation unmanaged: correct, but without asynchronous progress.
   if (c != user_world_) {
-    ++rt_->engine().stats_local().counter("casper_unmanaged_windows");
+    ++rt_->stats().counter("casper_unmanaged_windows");
     return pmpi_->win_allocate(env, bytes, du, info, c, base);
   }
   const int me = env.world_rank();
@@ -96,7 +96,7 @@ Win CasperLayer::win_allocate(Env& env, std::size_t bytes, std::size_t du,
   if (cw->user_win == nullptr) {
     cw->user_win = uw;
     winmap_[uw.get()] = cw;
-    ++rt_->engine().stats_local().counter("casper_managed_windows");
+    ++rt_->stats().counter("casper_managed_windows");
   }
   return uw;
 }
@@ -291,7 +291,7 @@ Win CasperLayer::win_allocate_shared(Env& env, std::size_t bytes,
                                      const Comm& c, void** base) {
   // Shared windows are node-local by construction; no asynchronous progress
   // problem to solve, pass through (paper supports the allocate model only).
-  ++rt_->engine().stats_local().counter("casper_unmanaged_windows");
+  ++rt_->stats().counter("casper_unmanaged_windows");
   return pmpi_->win_allocate_shared(env, bytes, du, info, c, base);
 }
 
@@ -301,7 +301,7 @@ Win CasperLayer::win_create(Env& env, void* base, std::size_t bytes,
   // The "create" model needs OS support (XPMEM/SMARTMAP) to map user memory
   // into the ghosts; like the paper's implementation we fall back to the
   // native MPI path, unmanaged.
-  ++rt_->engine().stats_local().counter("casper_unmanaged_windows");
+  ++rt_->stats().counter("casper_unmanaged_windows");
   return pmpi_->win_create(env, base, bytes, du, info, c);
 }
 

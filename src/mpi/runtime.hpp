@@ -109,7 +109,14 @@ class Runtime {
   const net::Profile& profile() const { return cfg_.machine.profile; }
   const net::Topology& topo() const { return cfg_.machine.topo; }
   const RunConfig& config() const { return cfg_; }
-  sim::Stats& stats() { return engine_->stats(); }
+  /// The run's counter registry, routed to the calling shard's replica. It
+  /// is the attached recorder's when obs::on(recorder()), else a private
+  /// one; either way run() folds every replica into shard 0's after the
+  /// engine run, so reads after run() see whole-run totals.
+  obs::Metrics& stats() { return counters_->metrics(); }
+  /// Shard `s`'s replica of that registry, for layers that cache per-shard
+  /// hot-counter pointers at construction (valid until run() folds).
+  obs::Metrics& stats_replica(int s) { return counters_->shard_metrics(s); }
   Layer& layer() { return *layer_; }
   Comm world() const { return world_; }
 
@@ -435,10 +442,12 @@ class Runtime {
   void on_lock_granted(WinImpl& win, int origin, int target, sim::Time t);
   void flush_target(Env& env, int target, WinImpl& win, bool force_lock);
 
-  /// Pointers into per-shard stats for per-op counters, resolved once at
-  /// construction: the hot path must not pay a map lookup per operation.
-  /// One instance per shard (index 0 when unsharded) so increments from
-  /// different worker threads never share a cache line or race.
+  /// Pointers into the per-shard registry replicas for per-op counters,
+  /// resolved once at construction: the hot path must not pay a map lookup
+  /// per operation. One instance per shard (index 0 when unsharded) so
+  /// increments from different worker threads never share a cache line or
+  /// race. Resolving a pointer creates its counter at zero, so every run's
+  /// registry carries all of these keys.
   struct HotStats {
     std::uint64_t* sw_ops = nullptr;
     std::uint64_t* hw_ops = nullptr;
@@ -446,6 +455,7 @@ class Runtime {
     std::uint64_t* am_busy_arrival = nullptr;
     std::uint64_t* am_prompt = nullptr;
     std::uint64_t* interrupts = nullptr;
+    std::uint64_t* atomicity_violations = nullptr;
   };
   HotStats& hot() {
     return hot_[static_cast<std::size_t>(sim::Engine::current_shard())];
@@ -457,6 +467,12 @@ class Runtime {
   /// both: pending event closures and queued inbox ops own PoolBufs that
   /// release into this pool on destruction.
   sim::BytePool pool_;
+  /// Counter registry of a run without an attached recorder. It never
+  /// traces; recorder() stays cfg_.recorder, so trace sites keep their gate.
+  obs::Recorder own_counters_;
+  /// Whose replicas stats() and hot_ point into: cfg_.recorder when
+  /// obs::on(cfg_.recorder), else &own_counters_.
+  obs::Recorder* counters_ = nullptr;
   std::vector<HotStats> hot_;
   /// One byte per rank, not vector<bool>: ghosts on different shards set
   /// their own flags concurrently, and packed bits would share a word.

@@ -363,7 +363,7 @@ void Runtime::p_send(Env& env, const void* buf, int count, Dt dt, int dest,
              [this, dst_world, t_del, m = std::move(m)]() mutable {
     deliver_p2p(dst_world, std::move(m), t_del);
   });
-  ++engine_->stats_local().counter("p2p_msgs");
+  ++stats().counter("p2p_msgs");
 }
 
 Request Runtime::p_irecv(Env& env, void* buf, int count, Dt dt, int src,

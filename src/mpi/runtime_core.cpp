@@ -133,6 +133,23 @@ Runtime::Runtime(RunConfig cfg, std::function<void(Env&)> user_main,
   inflight_.resize(static_cast<std::size_t>(engine_->shards()));
   opid_seq_.assign(static_cast<std::size_t>(engine_->shards()), 1);
 
+  // One registry replica per shard, grown before the layer factory runs so
+  // the layer can cache its own per-shard counter pointers too.
+  counters_ = obs::on(cfg_.recorder) ? cfg_.recorder : &own_counters_;
+  counters_->set_shards(engine_->shards());
+  hot_.resize(static_cast<std::size_t>(engine_->shards()));
+  for (int s = 0; s < engine_->shards(); ++s) {
+    obs::Metrics& m = stats_replica(s);
+    HotStats& h = hot_[static_cast<std::size_t>(s)];
+    h.sw_ops = &m.counter("sw_ops");
+    h.hw_ops = &m.counter("hw_ops");
+    h.cross_numa_ops = &m.counter("cross_numa_ops");
+    h.am_busy_arrival = &m.counter("am_busy_arrival");
+    h.am_prompt = &m.counter("am_prompt");
+    h.interrupts = &m.counter("interrupts");
+    h.atomicity_violations = &m.counter("atomicity_violations");
+  }
+
   // Fault state must exist before the layer factory runs: the layer's ctor
   // registers its ghost-death handler only when faults_on() is already true.
   if (cfg_.fault != nullptr && cfg_.fault->active()) {
@@ -159,22 +176,6 @@ Runtime::Runtime(RunConfig cfg, std::function<void(Env&)> user_main,
   layer_ = layer ? layer(*this) : std::make_shared<Pmpi>(*this);
   MMPI_REQUIRE(layer_ != nullptr, "layer factory returned null");
   engine_->set_deadlock_dump([this] { dump_comm_state(); });
-
-  // One HotStats per shard, each pointing into that shard's own counter
-  // registry (shard_stats degrades to the global registry when unsharded, so
-  // counter names and totals are unchanged; sharded registries are folded
-  // into the global one after run()).
-  hot_.resize(static_cast<std::size_t>(engine_->shards()));
-  for (int s = 0; s < engine_->shards(); ++s) {
-    sim::Stats& st = engine_->shard_stats(s);
-    HotStats& h = hot_[static_cast<std::size_t>(s)];
-    h.sw_ops = &st.counter("sw_ops");
-    h.hw_ops = &st.counter("hw_ops");
-    h.cross_numa_ops = &st.counter("cross_numa_ops");
-    h.am_busy_arrival = &st.counter("am_busy_arrival");
-    h.am_prompt = &st.counter("am_prompt");
-    h.interrupts = &st.counter("interrupts");
-  }
 
   if (obs::on(cfg_.recorder)) {
     engine_->set_sched_observer(cfg_.recorder);
@@ -239,9 +240,8 @@ void Runtime::run() {
                  "this conformance observer assumes a single-threaded "
                  "schedule; detach it or run with shards == 1");
   }
-  if (obs::on(recorder())) recorder()->set_shards(engine_->shards());
   engine_->run();
-  if (obs::on(recorder())) recorder()->merge_shards();
+  counters_->merge_shards();
   // Snapshot buffer-pool effectiveness into the metrics block. These are
   // host-side allocator statistics, not virtual-time facts: reuse depends on
   // the interleaving of staging buffers, so "pool.*" keys are exempt from
@@ -249,18 +249,6 @@ void Runtime::run() {
   if (obs::on(recorder())) {
     recorder()->metrics().counter("pool.bytes_reused") = pool_.bytes_reused();
     recorder()->metrics().counter("pool.reuses") = pool_.reuses();
-    if (fs_) {
-      // Mirror the fault/recovery counters (accumulated in engine stats so
-      // tests can read them without a recorder) into the metrics block.
-      for (const char* key :
-           {"fault.drops", "fault.dups", "fault.delays", "fault.ack_drops",
-            "fault.retries", "fault.dedup_hits", "fault.forwards",
-            "fault.dead_serves", "fault.kills", "recovery.ghost_dead",
-            "recovery.rebound_targets", "recovery.rebound_ops",
-            "recovery.direct_ops", "recovery.degraded"}) {
-        recorder()->metrics().counter(key) = stats().counter(key);
-      }
-    }
   }
 }
 
@@ -368,7 +356,6 @@ void Runtime::inject_op(WinImpl& win, int origin_comm, int target_comm,
 
   if (is_hw_op(d)) {
     ++*hot().hw_ops;
-    if (obs::on(recorder())) ++recorder()->metrics().counter("ops.hw_path");
     // Hardware execution: performed "by the NIC" instantly at delivery; the
     // target CPU is not involved. NIC entity ids live above agent ids.
     const int nic_entity = 2 * engine_->nranks() + tw;
@@ -386,7 +373,6 @@ void Runtime::inject_op(WinImpl& win, int origin_comm, int target_comm,
     });
   } else {
     ++*hot().sw_ops;
-    if (obs::on(recorder())) ++recorder()->metrics().counter("ops.sw_path");
     if (fs_) {
       // Faulted transport: the op is parked in a retransmission record and
       // every wire attempt (this one included) runs the verdict machinery.
@@ -839,7 +825,7 @@ void Runtime::record_access(std::uintptr_t lo, std::uintptr_t hi, Time t0,
     const bool time_overlap = e.t0 < t1 && t0 < e.t1;
     const bool byte_overlap = e.lo < hi && lo < e.hi;
     if (time_overlap && byte_overlap) {
-      ++engine_->stats_local().counter("atomicity_violations");
+      ++*hot().atomicity_violations;
     }
   }
   inflight.push_back(InflightOp{entity, lo, hi, t0, t1, is_write});

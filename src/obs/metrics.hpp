@@ -62,13 +62,23 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
+/// The simulator's one counter registry. A run's always-on counters (ops by
+/// path, AM arrivals, atomicity violations, fault and recovery tallies) and
+/// its recorder-gated instrumentation land in the same replica; see
+/// obs::Recorder for who owns the per-shard replicas and when they fold.
 class Metrics {
  public:
   /// Get-or-create; returned reference stays valid (map nodes are stable).
   std::uint64_t& counter(const std::string& name) { return counters_[name]; }
   Histogram& histogram(const std::string& name) { return histograms_[name]; }
 
+  /// Read a counter; 0 if it was never touched.
   std::uint64_t counter_value(const std::string& name) const;
+  /// Same as counter_value: perfbench/casper_perf.cpp reads counters through
+  /// Runtime::stats().get(k), and perfbench is frozen.
+  std::uint64_t get(const std::string& name) const {
+    return counter_value(name);
+  }
   const std::map<std::string, std::uint64_t>& counters() const {
     return counters_;
   }

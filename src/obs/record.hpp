@@ -15,11 +15,17 @@
 // replica — trace()/metrics() route by sim::Engine::current_shard(), so the
 // hot path stays plain stores with no atomics or locks. The main thread and
 // single-shard engines read replica 0 (current_shard() is 0 there), which
-// keeps every pre-sharding call site working unchanged. A sharded driver
-// calls set_shards() before run() and merge_shards() after; the merge is
-// keyed purely by virtual time and shard id, so the folded trace and
-// counters are deterministic and shard-count-invariant workloads produce
-// byte-identical dumps.
+// keeps every pre-sharding call site working unchanged. mpi::Runtime calls
+// set_shards() in its constructor and merge_shards() once after the engine
+// run; the merge is keyed purely by virtual time and shard id, so the folded
+// trace and counters are deterministic and shard-count-invariant workloads
+// produce byte-identical dumps.
+//
+// The replicas are also the runtime's only counter registry: a runtime with
+// no recorder attached (or built with CASPER_TRACE=0) counts its always-on
+// counters into a private Recorder that never traces (rings are allocated at
+// first push, and nothing pushes), so the replica/fold mechanism is the same
+// either way.
 #pragma once
 
 #include <cstddef>
@@ -52,6 +58,11 @@ class Recorder final : public sim::SchedObserver {
   const Tracer& trace() const { return shards_[shard_index()].trace; }
   Metrics& metrics() { return shards_[shard_index()].metrics; }
   const Metrics& metrics() const { return shards_[shard_index()].metrics; }
+  /// Replica `s`'s registry, for caching per-shard counter pointers before a
+  /// run. Valid until merge_shards() drops the extra replicas.
+  Metrics& shard_metrics(int s) {
+    return shards_[static_cast<std::size_t>(s)].metrics;
+  }
 
   /// Grow to one replica per shard before a sharded run. Entity names and
   /// anything already recorded stay on replica 0 (the primary). Never

@@ -82,14 +82,6 @@ Context& Engine::current() {
   return *g_current_ctx;
 }
 
-Stats& Engine::stats_local() { return shard_stats(g_shard_id); }
-
-// Shard 0 counts straight into stats_, so stats() read during a run shows
-// live counts: all of them when there is only one shard.
-Stats& Engine::shard_stats(int shard) {
-  return shard == 0 ? stats_ : shards_[static_cast<std::size_t>(shard)]->stats;
-}
-
 void Engine::clamp_lookahead(Time la) {
   if (la < 1) la = 1;
   Time cur = lookahead_.load(std::memory_order_relaxed);
@@ -412,12 +404,7 @@ void Engine::run() {
   for (auto& w : workers) w.join();
 
   // Fold per-shard results into the engine-wide views.
-  for (auto& sh : shards_) {
-    if (sh->horizon > horizon_) horizon_ = sh->horizon;
-    if (sh->id == 0) continue;  // shard 0 already counts into stats_
-    for (const auto& [name, v] : sh->stats.all()) stats_.counter(name) += v;
-    sh->stats.clear();
-  }
+  for (const auto& sh : shards_) horizon_ = std::max(horizon_, sh->horizon);
   if (sched_trace_ != nullptr) merge_traces();
 }
 

@@ -3,11 +3,11 @@
 // Each simulated MPI rank is a user-level stackful fiber (sim::Fiber — a
 // coroutine with its own guard-paged stack). Ranks are partitioned into
 // shards (Options::shards, default 1); each shard owns a ready heap, an
-// event calendar, slot pools, a fiber stack pool and a stats block, and is
-// driven by one host thread — the caller of run() for shard 0, a worker
-// thread for every other shard. Within a shard exactly one party (a rank
-// fiber or the shard's scheduler) runs at any moment. A rank switch is a
-// ~100 ns userspace register swap, not an OS-thread handoff.
+// event calendar, slot pools and a fiber stack pool, and is driven by one
+// host thread — the caller of run() for shard 0, a worker thread for every
+// other shard. Within a shard exactly one party (a rank fiber or the
+// shard's scheduler) runs at any moment. A rank switch is a ~100 ns
+// userspace register swap, not an OS-thread handoff.
 //
 // One scheduling loop serves every shard count (DESIGN.md §6, §12). Shards
 // advance in conservative lookahead windows (Lubachevsky bounded-lag): a
@@ -65,7 +65,6 @@
 #include "sim/fiber.hpp"
 #include "sim/heap.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace casper::sim {
@@ -217,19 +216,6 @@ class Engine {
   /// models core oversubscription (e.g. 2.0 when a progress thread shares
   /// the core).
   void set_compute_scale(int rank, double scale);
-
-  /// Simulation-wide counters. During a run this is shard 0's live registry
-  /// (the whole simulation's when unsharded); after run() every other
-  /// shard's registry has been folded in.
-  Stats& stats() { return stats_; }
-
-  /// The registry hot paths must increment: the calling shard's own block
-  /// (no synchronization).
-  Stats& stats_local();
-
-  /// A specific shard's registry (stable from construction), for resolving
-  /// per-shard hot-counter pointers before run(). Shard 0's is stats().
-  Stats& shard_stats(int shard);
 
   Rng& rank_rng(int rank) { return ranks_[rank]->rng; }
 
@@ -549,7 +535,6 @@ class Engine {
     Time horizon = 0;
     int done = 0;
     StackPool stacks;
-    Stats stats;  // unused by shard 0, which counts into Engine::stats_
     std::vector<SchedRecord> trace;  // this shard's decisions (when traced)
     Fiber* sched_fiber = nullptr;    // the driving thread's adopted fiber
     /// Cross-shard staging: one vector per destination shard. Entries carry
@@ -631,7 +616,6 @@ class Engine {
   SchedObserver* sched_obs_ = nullptr;
 
   std::function<void()> deadlock_dump_;
-  Stats stats_;
 };
 
 }  // namespace casper::sim

@@ -62,7 +62,6 @@ mpi::RunConfig base_rc(int nodes, int cpn, std::uint64_t perturb, int shards,
 }
 
 void harvest(obs::Recorder& rec, Observed& out) {
-  rec.merge_shards();
   for (const auto& [name, v] : rec.metrics().counters()) {
     if (name.rfind("adapt.", 0) == 0) out.counters[name] = v;
   }
@@ -73,7 +72,6 @@ void harvest(obs::Recorder& rec, Observed& out) {
 /// chunk, so the skew forces a remap of its subchunks across both ghosts.
 Observed run_seg(std::uint64_t perturb, int shards) {
   obs::Recorder rec;
-  rec.set_shards(shards);
   core::Config cc;
   cc.ghosts_per_node = 2;
   cc.binding = core::Binding::Segment;
@@ -120,7 +118,6 @@ Observed run_seg(std::uint64_t perturb, int shards) {
 /// must answer with a switch to byte-counting.
 Observed run_dyn(std::uint64_t perturb, int shards) {
   obs::Recorder rec;
-  rec.set_shards(shards);
   core::Config cc;
   cc.ghosts_per_node = 2;
   cc.binding = core::Binding::Rank;

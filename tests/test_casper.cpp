@@ -281,7 +281,7 @@ TEST(CasperRma, SegmentBindingSplitsAndStaysCorrect) {
       }
     }
     EXPECT_EQ(env.runtime().stats().get("atomicity_violations"), 0u);
-    EXPECT_GT(env.runtime().stats().get("casper_split_subops"), 0u);
+    EXPECT_GT(env.runtime().stats().get("casper.split_subops"), 0u);
     env.win_free(win);
   }, core::layer(csp(2, core::Binding::Segment)));
 }
@@ -306,7 +306,7 @@ TEST(CasperRma, DynamicRandomSpreadsPuts) {
       auto* d = static_cast<double*>(base);
       for (int i = 0; i < 8; ++i) EXPECT_EQ(d[i], 1.5);
     }
-    EXPECT_GT(env.runtime().stats().get("casper_dynamic_ops"), 0u);
+    EXPECT_GT(env.runtime().stats().get("casper.dynamic_ops"), 0u);
     env.win_free(win);
   }, core::layer(csp(2, core::Binding::Rank, core::DynamicLb::Random)));
 }
@@ -370,7 +370,7 @@ TEST(CasperRma, SelfOpsExecuteLocally) {
     env.put(&v, 1, env.rank(w), 0, win);
     EXPECT_EQ(*static_cast<double*>(base), 4.25);
     env.win_unlock(env.rank(w), win);
-    EXPECT_GT(env.runtime().stats().get("casper_self_ops"), 0u);
+    EXPECT_GT(env.runtime().stats().get("casper.self_ops"), 0u);
     env.win_free(win);
   }, core::layer(csp(1)));
 }

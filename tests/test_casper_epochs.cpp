@@ -108,12 +108,12 @@ TEST(CasperEpochs, BindingFreeIntervalStartsAfterFlush) {
       env.win_lock(LockType::Exclusive, 0, 0, win);
       double v = 1.0;
       env.put(&v, 1, 0, 0, win);
-      const auto before = rt.stats().get("casper_dynamic_ops");
+      const auto before = rt.stats().get("casper.dynamic_ops");
       env.win_flush(0, win);  // starts the static-binding-free interval
       for (int i = 0; i < 6; ++i) {
         env.put(&v, 1, 0, static_cast<std::size_t>(i), win);
       }
-      const auto after = rt.stats().get("casper_dynamic_ops");
+      const auto after = rt.stats().get("casper.dynamic_ops");
       env.win_unlock(0, win);
       EXPECT_EQ(before, 0u);   // pre-flush put was statically bound
       EXPECT_EQ(after, 6u);    // post-flush puts were dynamically balanced
@@ -143,7 +143,7 @@ TEST(CasperEpochs, AccumulatesNeverDynamicallyBalanced) {
     env.win_unlock_all(win);
     env.barrier(w);
     // dynamic ops counter only counts PUT/GET routed dynamically
-    EXPECT_EQ(env.runtime().stats().get("casper_dynamic_ops"), 0u);
+    EXPECT_EQ(env.runtime().stats().get("casper.dynamic_ops"), 0u);
     if (env.rank(w) == 0) {
       EXPECT_EQ(*static_cast<double*>(base), 20.0);  // 2 users x 10
     }

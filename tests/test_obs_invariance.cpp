@@ -125,6 +125,13 @@ TEST(ObsInvariance, CountersIdenticalAcrossEightSchedules) {
     }
   }
   EXPECT_TRUE(saw_ghost_key);
+  // The runtime's always-on counters share the recorder's registry, so they
+  // reach the metrics block and join the exact-match set below.
+  EXPECT_GT(ref.counters.at("sw_ops"), 0u);
+  EXPECT_GT(ref.counters.at("am_prompt"), 0u);
+  EXPECT_GT(ref.counters.at("p2p_msgs"), 0u);
+  EXPECT_EQ(ref.counters.count("atomicity_violations"), 1u);
+  EXPECT_EQ(ref.counters.at("atomicity_violations"), 0u);
   // The MWCAS leg ran and published its protocol counters: 4 clients x
   // (1 op, 2 installs, 1 post-CAS read) with zero contention artifacts.
   EXPECT_EQ(ref.counters.at("mwcas.ops"), 4u);

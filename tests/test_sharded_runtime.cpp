@@ -103,11 +103,11 @@ Outcome run_fig5(int nodes, int shards, progress::Kind kind,
     cc.ghosts_per_node = 1;
     layer = core::layer(cc);
   }
-  // Runtime directly (not mpi::exec): the merged sharded stats registry is
-  // only valid after run() returns, so grab it before the runtime dies.
+  // Runtime directly (not mpi::exec): the folded counter registry is only
+  // valid after run() returns, so grab it before the runtime dies.
   mpi::Runtime rt(c, body, layer);
   rt.run();
-  out.counters = rt.stats().all();
+  out.counters = rt.stats().counters();
   return out;
 }
 

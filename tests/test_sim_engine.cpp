@@ -187,11 +187,11 @@ RunSnapshot run_mixed_workload(std::uint64_t seed, std::size_t stack_bytes) {
     const int me = ctx.rank();
     for (int i = 0; i < 50; ++i) {
       ctx.advance(sim::ns(ctx.rng().next_below(500) + 1));
-      eng.stats().counter("advances") += 1;
+      snap.stats["advances"] += 1;
       if (i % 7 == me % 7) {
         // Post an event at our own current time: it must run before we
         // resume (events precede ranks at equal timestamps).
-        eng.post_event(ctx.now(), [&eng] { eng.stats().counter("events") += 1; });
+        eng.post_event(ctx.now(), [&snap] { snap.stats["events"] += 1; });
         ctx.yield();
       }
       if (i % 11 == 3 && me + 1 < ctx.size()) {
@@ -209,7 +209,6 @@ RunSnapshot run_mixed_workload(std::uint64_t seed, std::size_t stack_bytes) {
   e.run();
   snap.horizon = e.horizon();
   for (int r = 0; r < e.nranks(); ++r) snap.clocks.push_back(e.rank_now(r));
-  snap.stats = e.stats().all();
   return snap;
 }
 

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -46,6 +47,8 @@ ExchangeResult run_exchange(int nranks, int shards, int iters,
   res.final_now.assign(static_cast<std::size_t>(nranks), 0);
   res.delivery_hash.assign(static_cast<std::size_t>(nranks), 0);
   std::vector<int> inbox(static_cast<std::size_t>(nranks), 0);
+  // One message counter per shard: each worker thread bumps its own.
+  std::vector<std::uint64_t> messages(static_cast<std::size_t>(shards), 0);
 
   Engine::Options o;
   o.nranks = nranks;
@@ -68,7 +71,7 @@ ExchangeResult run_exchange(int nranks, int shards, int iters,
             static_cast<std::uint64_t>(r) * 2654435761u;
         eng.wake_at(peer, at);
       });
-      eng.stats_local().counter("test.messages")++;
+      ++messages[static_cast<std::size_t>(Engine::current_shard())];
       // Wait for this iteration's own delivery.
       while (inbox[static_cast<std::size_t>(r)] <= it) eng.block_self();
       ctx.advance(sim::ns(50 + (r % 3)));
@@ -78,7 +81,8 @@ ExchangeResult run_exchange(int nranks, int shards, int iters,
   e.set_schedule_trace(trace);
   e.set_sched_observer(obs);
   e.run();
-  res.stats_messages = e.stats().get("test.messages");
+  res.stats_messages = std::accumulate(messages.begin(), messages.end(),
+                                       std::uint64_t{0});
   res.horizon = e.horizon();
   return res;
 }
@@ -238,14 +242,19 @@ TEST(SimEngineSharded, PerShardStatsMergeIntoEngineTotals) {
     Engine::Options o;
     o.nranks = 16;
     o.shards = shards;
-    Engine e(o, [](sim::Context& ctx) {
+    // One counter per shard, bumped only by that shard's worker thread (the
+    // layout of the runtime's registry replicas), summed after the run.
+    std::vector<std::uint64_t> work(static_cast<std::size_t>(shards), 0);
+    Engine e(o, [&work](sim::Context& ctx) {
       for (int i = 0; i <= ctx.rank(); ++i) {
-        ctx.engine().stats_local().counter("test.work")++;
+        ++work[static_cast<std::size_t>(Engine::current_shard())];
       }
     });
     e.run();
     // sum 1..16
-    EXPECT_EQ(e.stats().get("test.work"), 136u) << "shards=" << shards;
+    EXPECT_EQ(std::accumulate(work.begin(), work.end(), std::uint64_t{0}),
+              136u)
+        << "shards=" << shards;
   }
 }
 
