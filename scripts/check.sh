@@ -161,7 +161,7 @@ cmake --build "$BUILD" -j"$JOBS" --target fig4a_passive_overlap
 python3 scripts/validate_chrome_trace.py "$BUILD/fig4a_trace.json" \
   --require-casper-tracks
 
-echo "== [13/14] untraced Release build (-DCASPER_TRACE=0) =="
+echo "== [13/14] untraced and race-hook-free Release builds =="
 # The hot path is sprinkled with obs instrumentation behind CASPER_TRACE;
 # prove the untraced production configuration still compiles and links after
 # any refactor, not just the traced default.
@@ -170,6 +170,15 @@ cmake -B "$BUILD_NT" -S . -DCASPER_TRACE=OFF \
   -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD_NT" -j"$JOBS"
 "./$BUILD_NT/tests/test_casper" >/dev/null
+# The RMA issue path reports to the race analyzer behind CASPER_RACE
+# (kRaceObsCompiled, mpi/observe.hpp); prove that gate folds away cleanly
+# and the RMA suites still pass with it off.
+BUILD_NR=build-norace
+cmake -B "$BUILD_NR" -S . -DCASPER_RACE=OFF \
+  -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$BUILD_NR" -j"$JOBS" --target test_casper test_mpi_rma
+"./$BUILD_NR/tests/test_casper" >/dev/null
+"./$BUILD_NR/tests/test_mpi_rma" >/dev/null
 
 echo "== [14/14] perf-regression gate: BENCH_*.json ratchet =="
 # Host-side perf ratchet against the committed baselines, serial (the bench

@@ -7,6 +7,7 @@
 #include "check/fuzz.hpp"
 #include "check/kvfuzz.hpp"
 #include "check/mwfuzz.hpp"
+#include "check/oracle.hpp"
 #include "net/profile.hpp"
 #include "progress/progress.hpp"
 #include "sim/rng.hpp"
@@ -67,6 +68,48 @@ std::map<std::string, std::uint64_t> fault_stats(
   }
   return out;
 }
+
+namespace {
+std::string diag_line(const LinearChecker::Violation& v) {
+  return "key " + std::to_string(v.key) + ":\n" + v.diag;
+}
+std::string diag_line(const MwChecker::Violation& v) { return v.diag; }
+}  // namespace
+
+template <class Checker>
+void finish_checked_run(CheckedOutcome& out, mpi::Runtime& rt,
+                        obs::Recorder& rec, Checker& checker,
+                        const ShadowOracle* oracle, const Deployment& d,
+                        const char* metric_prefix) {
+  // run() folded the registry; the checker adds its linear.* counters to
+  // it, so one snapshot below holds every counter of the run.
+  if (obs::kTraceCompiled) checker.set_recorder(&rec);
+  out.violations = checker.check().size();
+  for (const auto& v : checker.check()) {
+    out.diags.push_back(diag_line(v));
+    if (out.diags.size() >= 4) break;
+  }
+  out.history_hash = checker.history_hash();
+  out.checker_ops = checker.ops_recorded();
+  if (oracle != nullptr) out.divergences = oracle->divergences().size();
+  const obs::Metrics& counters = rt.stats();
+  out.atomicity = counters.get("atomicity_violations");
+  for (const auto& [key, val] : counters.counters()) {
+    if (key.rfind(metric_prefix, 0) == 0 || key.rfind("linear.", 0) == 0) {
+      out.metrics[key] = val;
+    }
+  }
+  out.fault_stats = fault_stats(d, counters.counters());
+}
+
+template void finish_checked_run(CheckedOutcome&, mpi::Runtime&,
+                                 obs::Recorder&, LinearChecker&,
+                                 const ShadowOracle*, const Deployment&,
+                                 const char*);
+template void finish_checked_run(CheckedOutcome&, mpi::Runtime&,
+                                 obs::Recorder&, MwChecker&,
+                                 const ShadowOracle*, const Deployment&,
+                                 const char*);
 
 void draw_deployment(sim::Rng& rng, Deployment& d, bool draw_mode) {
   d.nodes = 1 + static_cast<int>(rng.next_below(2));

@@ -53,6 +53,8 @@ class Rng;
 
 namespace casper::check {
 
+class ShadowOracle;
+
 /// How one-sided progress is made in a deployment: by the target itself
 /// (original MPI), by an oversubscribed progress thread per rank, or by
 /// Casper ghost processes.
@@ -101,6 +103,34 @@ mpi::LayerFactory layer_for(const Deployment& d, const core::Config& cc);
 /// The fault.* / recovery.* counters of a run (empty without a fault plan).
 std::map<std::string, std::uint64_t> fault_stats(
     const Deployment& d, const std::map<std::string, std::uint64_t>& all);
+
+/// What every checked-history run (KV, MWCAS) reports besides its
+/// workload's own fields: the checker's verdict, the shadow oracle's, and
+/// the run's counters.
+struct CheckedOutcome {
+  std::size_t violations = 0;      ///< checker violations
+  std::vector<std::string> diags;  ///< the first few violation diagnostics
+  std::uint64_t history_hash = 0;  ///< canonical-history FNV
+  std::size_t checker_ops = 0;     ///< events the checker recorded
+  sim::Time end_time = 0;          ///< rank 0 virtual end time
+  std::uint64_t fingerprint = 0;   ///< final-memory digest
+  std::uint64_t divergences = 0;   ///< shadow-oracle (unsharded only)
+  std::uint64_t atomicity = 0;     ///< runtime atomicity violations
+  std::map<std::string, std::uint64_t> metrics;  ///< <workload>. + linear.*
+  std::map<std::string, std::uint64_t> fault_stats;  ///< fault.* / recovery.*
+};
+
+/// The tail every checked-history run shares, after rt.run(): point the
+/// checker at the run's recorder (its linear.* counters join the registry),
+/// check, and fill `out` from the checker, the oracle (null on sharded runs,
+/// which it cannot ride) and one snapshot of the run's counters, keeping the
+/// `metric_prefix` + "linear." ones. Defined for LinearChecker and MwChecker.
+template <class Checker>
+void finish_checked_run(CheckedOutcome& out, mpi::Runtime& rt,
+                        obs::Recorder& rec, Checker& checker,
+                        const ShadowOracle* oracle, const Deployment& d,
+                        const char* metric_prefix);
+
 /// Draws, in this order: 1-2 nodes, 1-3 users per node (at least 2 users
 /// in all), 1-2 ghosts, the progress mode when `draw_mode` (Casper twice as
 /// often; RMA cases are always Casper and their stream has no such draw),

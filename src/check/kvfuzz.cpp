@@ -92,25 +92,8 @@ KvOutcome run_kv_case(const KvCase& fc, std::uint64_t perturb_seed,
   rt.add_observer(&checker);
   rt.run();
 
-  // run() folded the registry; the checker adds its linear.* counters to
-  // it, so one snapshot below holds every counter of the run.
-  if (obs::kTraceCompiled) checker.set_recorder(&rec);
-  out.violations = checker.check().size();
-  for (const LinearChecker::Violation& v : checker.check()) {
-    out.diags.push_back("key " + std::to_string(v.key) + ":\n" + v.diag);
-    if (out.diags.size() >= 4) break;
-  }
-  out.history_hash = checker.history_hash();
-  out.checker_ops = checker.ops_recorded();
-  if (!sharded) out.divergences = oracle.divergences().size();
-  const obs::Metrics& counters = rt.stats();
-  out.atomicity = counters.get("atomicity_violations");
-  for (const auto& [key, val] : counters.counters()) {
-    if (key.rfind("kv.", 0) == 0 || key.rfind("linear.", 0) == 0) {
-      out.metrics[key] = val;
-    }
-  }
-  out.fault_stats = fault_stats(fc, counters.counters());
+  finish_checked_run(out, rt, rec, checker, sharded ? nullptr : &oracle, fc,
+                     "kv.");
   return out;
 }
 

@@ -51,19 +51,9 @@ void add_kv_net_faults(KvCase& fc);
 void add_kv_proof_faults(KvCase& fc);
 
 /// Outcome of one simulated run of a KV case.
-struct KvOutcome {
-  std::size_t violations = 0;           ///< linearizability violations
-  std::vector<std::string> diags;       ///< per-violation diagnostics
-  std::uint64_t history_hash = 0;       ///< canonical-history FNV
-  std::size_t checker_ops = 0;          ///< events the checker recorded
-  sim::Time end_time = 0;               ///< rank 0 virtual end time
-  std::uint64_t fingerprint = 0;        ///< final-table digest
-  kv::KvStats stats;                    ///< cluster-wide client counters
-  std::uint64_t acc_ops = 0;            ///< server-side ACC op total
-  std::uint64_t divergences = 0;        ///< shadow-oracle (unsharded only)
-  std::uint64_t atomicity = 0;          ///< runtime atomicity violations
-  std::map<std::string, std::uint64_t> metrics;     ///< kv.* / linear.*
-  std::map<std::string, std::uint64_t> fault_stats; ///< fault.* / recovery.*
+struct KvOutcome : CheckedOutcome {
+  kv::KvStats stats;          ///< cluster-wide client counters
+  std::uint64_t acc_ops = 0;  ///< server-side ACC op total
 
   bool clean() const {
     return violations == 0 && divergences == 0 && atomicity == 0;

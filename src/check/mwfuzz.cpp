@@ -262,30 +262,11 @@ MwOutcome run_mw_case(const MwCase& fc, std::uint64_t perturb_seed,
   rt.add_observer(&checker);
   rt.run();
 
-  // run() folded the registry; the checkers add their own counters to it,
-  // so one snapshot below holds every counter of the run.
-  if (obs::kTraceCompiled) {
-    checker.set_recorder(&rec);
-    race.set_recorder(&rec);
-  }
-  out.violations = checker.check().size();
-  for (const MwChecker::Violation& v : checker.check()) {
-    out.diags.push_back(v.diag);
-    if (out.diags.size() >= 4) break;
-  }
-  out.history_hash = checker.history_hash();
+  if (obs::kTraceCompiled) race.set_recorder(&rec);
+  finish_checked_run(out, rt, rec, checker, sharded ? nullptr : &oracle, fc,
+                     "mwcas.");
   out.semantic_hash = checker.semantic_hash();
-  out.checker_ops = checker.ops_recorded();
   out.race_conflicts = race.conflict_events();
-  if (!sharded) out.divergences = oracle.divergences().size();
-  const obs::Metrics& counters = rt.stats();
-  out.atomicity = counters.get("atomicity_violations");
-  for (const auto& [key, val] : counters.counters()) {
-    if (key.rfind("mwcas.", 0) == 0 || key.rfind("linear.", 0) == 0) {
-      out.metrics[key] = val;
-    }
-  }
-  out.fault_stats = fault_stats(fc, counters.counters());
   return out;
 }
 

@@ -60,20 +60,10 @@ MwCase make_mw_case(std::uint64_t seed, bool reduced);
 /// Seed-derived lossy network for chaos MWCAS runs.
 void add_mw_net_faults(MwCase& fc);
 
-struct MwOutcome {
-  std::size_t violations = 0;
-  std::vector<std::string> diags;
-  std::uint64_t history_hash = 0;
+struct MwOutcome : CheckedOutcome {
   std::uint64_t semantic_hash = 0;  ///< timing-free per-client history digest
-  std::size_t checker_ops = 0;
-  sim::Time end_time = 0;
-  std::uint64_t fingerprint = 0;  ///< heap data words (descriptors excluded)
-  mwcas::MwStats stats;           ///< cluster-wide protocol counters
-  std::uint64_t divergences = 0;
-  std::uint64_t atomicity = 0;
+  mwcas::MwStats stats;             ///< cluster-wide protocol counters
   std::uint64_t race_conflicts = 0;
-  std::map<std::string, std::uint64_t> metrics;     ///< mwcas.* / linear.*
-  std::map<std::string, std::uint64_t> fault_stats;
 
   bool clean() const {
     return violations == 0 && divergences == 0 && atomicity == 0 &&

@@ -208,7 +208,6 @@ void MwChecker::check_queue() {
     bool present = false;
   };
   std::unordered_map<std::int64_t, Interval> enq, deq;
-  std::uint64_t empties = 0;
   for (const MwEvent& e : events_) {
     if (e.kind == MwEvent::Kind::Enq) {
       auto& it = enq[e.value];
@@ -219,10 +218,7 @@ void MwChecker::check_queue() {
       }
       it = {e.inv, e.resp, true};
     } else if (e.kind == MwEvent::Kind::Deq) {
-      if (!e.ok) {
-        ++empties;
-        continue;
-      }
+      if (!e.ok) continue;  // an empty dequeue carries no value
       auto& it = deq[e.value];
       if (it.present) {
         violations_.push_back(
@@ -264,7 +260,6 @@ void MwChecker::check_queue() {
       }
     }
   }
-  (void)empties;
 }
 
 const std::vector<MwChecker::Violation>& MwChecker::check() {

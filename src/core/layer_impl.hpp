@@ -92,26 +92,7 @@ class CasperLayer final : public mpi::Layer {
                       const mpi::Comm& c) override;
   void win_free(mpi::Env& env, mpi::Win& w) override;
 
-  void put(mpi::Env& env, const void* o, int oc, mpi::Datatype odt,
-           int target, std::size_t tdisp, int tc, mpi::Datatype tdt,
-           const mpi::Win& w) override;
-  void get(mpi::Env& env, void* o, int oc, mpi::Datatype odt, int target,
-           std::size_t tdisp, int tc, mpi::Datatype tdt,
-           const mpi::Win& w) override;
-  void accumulate(mpi::Env& env, const void* o, int oc, mpi::Datatype odt,
-                  int target, std::size_t tdisp, int tc, mpi::Datatype tdt,
-                  mpi::AccOp op, const mpi::Win& w) override;
-  void get_accumulate(mpi::Env& env, const void* o, int oc, mpi::Datatype odt,
-                      void* res, int rc, mpi::Datatype rdt, int target,
-                      std::size_t tdisp, int tc, mpi::Datatype tdt,
-                      mpi::AccOp op, const mpi::Win& w) override;
-  void fetch_and_op(mpi::Env& env, const void* value, void* result,
-                    mpi::Dt dt, int target, std::size_t tdisp, mpi::AccOp op,
-                    const mpi::Win& w) override;
-  void compare_and_swap(mpi::Env& env, const void* expected,
-                        const void* desired, void* result, mpi::Dt dt,
-                        int target, std::size_t tdisp,
-                        const mpi::Win& w) override;
+  void rma(mpi::Env& env, const mpi::RmaArgs& a, const mpi::Win& w) override;
 
   void win_fence(mpi::Env& env, unsigned mode_assert,
                  const mpi::Win& w) override;
@@ -349,26 +330,17 @@ class CasperLayer final : public mpi::Layer {
   /// Cached resolve_static: returns the split plan for the key, computing it
   /// on miss. The reference stays valid until the next plan_lookup by the
   /// SAME origin (other origins use their own caches), which cannot happen
-  /// inside one issue() call.
+  /// inside one rma() call.
   const std::vector<SubOp>& plan_lookup(CspWin& cw, OriginEp& ep, int origin,
                                         int target, std::size_t disp_bytes,
                                         int tcount, const mpi::Datatype& tdt);
   /// Dynamic binding ghost choice (paper III.B.3), PUT/GET only.
-  int choose_dynamic_ghost(mpi::Env& env, CspWin& cw, int origin, int node,
-                           std::size_t bytes);
+  int choose_dynamic_ghost(mpi::Env& env, CspWin& cw, int origin, int node);
   bool dynamic_applicable(const CspWin& cw, int origin, int target,
                           mpi::OpKind kind) const;
-  /// Issue one user RMA op through Casper's redirection machinery.
-  void issue(mpi::Env& env, mpi::OpKind kind, mpi::AccOp op, const void* o,
-             int oc, const mpi::Datatype& odt, const void* o2, void* res,
-             int rc, const mpi::Datatype& rdt, int target, std::size_t tdisp,
-             int tc, const mpi::Datatype& tdt, const mpi::Win& w);
-  /// Direct local execution of a self-targeted op (never delayed).
-  void exec_self(mpi::Env& env, mpi::OpKind kind, mpi::AccOp op,
-                 const void* o, int oc, const mpi::Datatype& odt,
-                 const void* o2, void* res, int rc, const mpi::Datatype& rdt,
-                 std::size_t disp_bytes, int tc, const mpi::Datatype& tdt,
-                 CspWin& cw, int target);
+  /// Direct local execution of a self-targeted PUT or GET (never delayed).
+  void exec_self(mpi::Env& env, const mpi::RmaArgs& a, std::size_t disp_bytes,
+                 CspWin& cw);
 
   // --- adaptive progress control (layer_adapt.cpp) -------------------------
   /// Size the board/replicas and seed the initial map so that adaptive
@@ -416,10 +388,7 @@ class CasperLayer final : public mpi::Layer {
   /// Degraded direct issue on the user window (original-MPI mode), with the
   /// lazy user-window lock for passive epochs.
   void issue_degraded(mpi::Env& env, CspWin& cw, OriginEp& ep,
-                      mpi::OpKind kind, mpi::AccOp op, const void* o, int oc,
-                      const mpi::Datatype& odt, const void* o2, void* res,
-                      int rc, const mpi::Datatype& rdt, int target,
-                      std::size_t tdisp, int tc, const mpi::Datatype& tdt);
+                      const mpi::RmaArgs& a);
 
   mpi::Runtime* rt_;
   Config cfg_;

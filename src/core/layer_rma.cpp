@@ -254,7 +254,7 @@ bool CasperLayer::dynamic_applicable(const CspWin& cw, int origin, int target,
 }
 
 int CasperLayer::choose_dynamic_ghost(Env& env, CspWin& cw, int origin,
-                                      int node, std::size_t bytes) {
+                                      int node) {
   const auto& ng = node_ghosts_[static_cast<std::size_t>(node)];
   auto& ep = cw.ep[static_cast<std::size_t>(origin)];
   switch (effective_lb(cw, ep)) {
@@ -286,45 +286,21 @@ int CasperLayer::choose_dynamic_ghost(Env& env, CspWin& cw, int origin,
     case DynamicLb::None:
       break;
   }
-  (void)bytes;
   return ng[0];
 }
 
-// ---------------------------------------------------------------- issue ----
+// ------------------------------------------------------------------ rma ----
 
-void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
-                        int oc, const Datatype& odt, const void* o2,
-                        void* res, int rc, const Datatype& rdt, int target,
-                        std::size_t tdisp, int tc, const Datatype& tdt,
-                        const Win& w) {
+void CasperLayer::rma(Env& env, const mpi::RmaArgs& a, const Win& w) {
   auto* cwp = managed(w);
   if (cwp == nullptr) {
     // Unmanaged window: forward to the MPI implementation untouched.
-    switch (kind) {
-      case OpKind::Put:
-        pmpi_->put(env, o, oc, odt, target, tdisp, tc, tdt, w);
-        return;
-      case OpKind::Get:
-        pmpi_->get(env, res, rc, rdt, target, tdisp, tc, tdt, w);
-        return;
-      case OpKind::Acc:
-        pmpi_->accumulate(env, o, oc, odt, target, tdisp, tc, tdt, op, w);
-        return;
-      case OpKind::GetAcc:
-        pmpi_->get_accumulate(env, o, oc, odt, res, rc, rdt, target, tdisp,
-                              tc, tdt, op, w);
-        return;
-      case OpKind::Fao:
-        pmpi_->fetch_and_op(env, o, res, tdt.base, target, tdisp, op, w);
-        return;
-      case OpKind::Cas:
-        pmpi_->compare_and_swap(env, o, o2, res, tdt.base, target, tdisp, w);
-        return;
-      default:
-        MMPI_REQUIRE(false, "casper: bad op kind");
-    }
+    pmpi_->rma(env, a, w);
+    return;
   }
   CspWin& cw = *cwp;
+  const OpKind kind = a.kind;
+  const int target = a.target;
   const int me_u = my_user_rank(env);
   MMPI_REQUIRE(target >= 0 && target < static_cast<int>(cw.tgt.size()),
                "casper: bad target %d", target);
@@ -337,8 +313,8 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
   MMPI_REQUIRE(in_epoch, "casper: RMA op outside any epoch (%d->%d)", me_u,
                target);
 
-  const std::size_t disp_bytes = tdisp * ti.disp_unit;
-  MMPI_REQUIRE(disp_bytes + mpi::span_bytes(tc, tdt) <= ti.size,
+  const std::size_t disp_bytes = a.tdisp * ti.disp_unit;
+  MMPI_REQUIRE(disp_bytes + mpi::span_bytes(a.tcount, a.tdt) <= ti.size,
                "casper: RMA out of target bounds");
 
   env.ctx().advance(kTranslateCost);
@@ -349,8 +325,7 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
   // of other origins, breaking MPI's accumulate atomicity. They are
   // redirected like any other op, so the bound ghost serializes them.
   if (target == me_u && !acc_like(kind)) {
-    exec_self(env, kind, op, o, oc, odt, o2, res, rc, rdt, disp_bytes, tc,
-              tdt, cw, target);
+    exec_self(env, a, disp_bytes, cw);
     return;
   }
 
@@ -364,8 +339,7 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
     const auto& tl = ep.tl[static_cast<std::size_t>(target)];
     if (tl.locked || ep.lockall ||
         (ep.fence_open && fence_direct(cw, ti.node))) {
-      issue_degraded(env, cw, ep, kind, op, o, oc, odt, o2, res, rc, rdt,
-                     target, tdisp, tc, tdt);
+      issue_degraded(env, cw, ep, a);
       return;
     }
   }
@@ -391,13 +365,15 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
   }
 
   mpi::Win& iw = route_window(cw, me_u, target);
-  const std::size_t bytes = mpi::data_bytes(tc, tdt);
+  const std::size_t bytes = mpi::data_bytes(a.tcount, a.tdt);
 
   // Redirect bookkeeping: one trace instant + per-ghost totals per routed
   // (sub)op. Ghost ids are comm ranks of the internal window; metrics key on
   // the ghost's world rank so totals aggregate across windows.
   obs::Recorder* rec = obs::on(rt_->recorder()) ? rt_->recorder() : nullptr;
   auto note_redirect = [&](int ghost, std::size_t nbytes) {
+    ++ep.ops_to_ghost[ghost_slot(ghost)];
+    ep.bytes_to_ghost[ghost_slot(ghost)] += nbytes;
     if (rec == nullptr) return;
     const int gw = iw->comm()->world_rank(ghost);
     rec->trace().instant(env.world_rank(), obs::Ev::OpRedirected, env.now(),
@@ -410,22 +386,25 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
     rec->metrics().counter("ghost." + g + ".bytes") += nbytes;
   };
 
-  // NUMA hint: the ghost processing this op touches the target user's
-  // segment; crossing the node's domain interconnect costs extra (what the
-  // topology-aware binding avoids).
+  // Every redirected (piece of an) op is the user's op with its target,
+  // displacement (bytes in the ghost's node-buffer frame) and window
+  // rewritten. The NUMA flag marks a ghost serving the target user's
+  // segment across the node's domain interconnect (what the topology-aware
+  // binding avoids).
   const int target_world = user_world_->world_rank(target);
-  auto numa_hint = [&](int ghost_world) {
-    rt_->set_next_op_cross_numa(
-        env.world_rank(), rt_->topo().numa_of(ghost_world) !=
-                              rt_->topo().numa_of(target_world));
+  auto redirected = [&](int ghost, std::size_t gdisp) {
+    mpi::RmaArgs r = a;
+    r.target = ghost;
+    r.tdisp = gdisp;
+    r.cross_numa =
+        rt_->topo().numa_of(ghost) != rt_->topo().numa_of(target_world);
+    return r;
   };
 
   // --- dynamic binding fast path: whole op to one chosen ghost -------------
   if (dynamic_applicable(cw, me_u, target, kind)) {
     const DynamicLb lb = effective_lb(cw, ep);
-    const int ghost = choose_dynamic_ghost(env, cw, me_u, ti.node, bytes);
-    ++ep.ops_to_ghost[ghost_slot(ghost)];
-    ep.bytes_to_ghost[ghost_slot(ghost)] += bytes;
+    const int ghost = choose_dynamic_ghost(env, cw, me_u, ti.node);
     if (cw.adapt.on) {
       adapt_note(cw, ep, ti, ti.offset + disp_bytes, bytes);
       auto& acc = ep.adapt_acc;
@@ -441,20 +420,14 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
       ++rec->metrics().counter(std::string("casper.lb.") + lb_name(lb));
     }
     note_redirect(ghost, bytes);
-    numa_hint(ghost);
-    const std::size_t gdisp = ti.offset + disp_bytes;
-    if (kind == OpKind::Put) {
-      pmpi_->put(env, o, oc, odt, ghost, gdisp, tc, tdt, iw);
-    } else {
-      pmpi_->get(env, res, rc, rdt, ghost, gdisp, tc, tdt, iw);
-    }
+    pmpi_->rma(env, redirected(ghost, ti.offset + disp_bytes), iw);
     ++*hot().dynamic_ops;
     return;
   }
 
   // --- static binding -------------------------------------------------------
   const std::vector<SubOp>& subs =
-      plan_lookup(cw, ep, me_u, target, disp_bytes, tc, tdt);
+      plan_lookup(cw, ep, me_u, target, disp_bytes, a.tcount, a.tdt);
 
   // Accumulate atomicity requires every target byte to be read-modify-
   // written by exactly ONE processing entity, regardless of which op shapes
@@ -480,42 +453,17 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
       mpi::data_bytes(subs[0].tcount, subs[0].tdt) == bytes) {
     // Fast path: whole op through one ghost, original datatypes preserved.
     const SubOp& s = subs[0];
-    ++ep.ops_to_ghost[ghost_slot(s.ghost)];
-    ep.bytes_to_ghost[ghost_slot(s.ghost)] += bytes;
     if (rec != nullptr) ++rec->metrics().counter("casper.binding_fastpath");
     note_redirect(s.ghost, bytes);
-    numa_hint(s.ghost);
-    switch (kind) {
-      case OpKind::Put:
-        pmpi_->put(env, o, oc, odt, s.ghost, s.tdisp, tc, tdt, iw);
-        break;
-      case OpKind::Get:
-        pmpi_->get(env, res, rc, rdt, s.ghost, s.tdisp, tc, tdt, iw);
-        break;
-      case OpKind::Acc:
-        pmpi_->accumulate(env, o, oc, odt, s.ghost, s.tdisp, tc, tdt, op, iw);
-        break;
-      case OpKind::GetAcc:
-        pmpi_->get_accumulate(env, o, oc, odt, res, rc, rdt, s.ghost, s.tdisp,
-                              tc, tdt, op, iw);
-        break;
-      case OpKind::Fao:
-        pmpi_->fetch_and_op(env, o, res, tdt.base, s.ghost, s.tdisp, op, iw);
-        break;
-      case OpKind::Cas:
-        pmpi_->compare_and_swap(env, o, o2, res, tdt.base, s.ghost, s.tdisp,
-                                iw);
-        break;
-      default:
-        MMPI_REQUIRE(false, "casper: bad op kind");
-    }
+    pmpi_->rma(env, redirected(s.ghost, s.tdisp), iw);
     return;
   }
 
   // Split path (segment binding): pack the origin data once, then issue each
-  // piece as a contiguous op against its owning ghost. GET_ACCUMULATE splits
-  // like GET on the result side: fetched pieces land in `gather` and are
-  // reassembled after a flush.
+  // piece as a contiguous op against its owning ghost, its origin (and
+  // result) rebased onto the packed buffers. GET_ACCUMULATE splits like GET
+  // on the result side: fetched pieces land in `gather` and are reassembled
+  // after a flush.
   MMPI_REQUIRE(kind == OpKind::Put || kind == OpKind::Get ||
                    kind == OpKind::Acc || kind == OpKind::GetAcc,
                "casper: split not supported for this op kind");
@@ -526,38 +474,28 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
   }
   const bool fetches = kind == OpKind::Get || kind == OpKind::GetAcc;
   sim::PoolBuf packed(&rt_->buffer_pool());
-  if (kind != OpKind::Get) mpi::pack_into(packed, o, oc, odt);
+  if (kind != OpKind::Get) {
+    mpi::pack_into(packed, a.origin_addr, a.ocount, a.odt);
+  }
   sim::PoolBuf gather(&rt_->buffer_pool());
   if (fetches) gather.resize(bytes);
 
   for (const SubOp& s : subs) {
-    ++ep.ops_to_ghost[ghost_slot(s.ghost)];
-    const std::size_t sbytes = mpi::data_bytes(s.tcount, s.tdt);
-    ep.bytes_to_ghost[ghost_slot(s.ghost)] += sbytes;
-    note_redirect(s.ghost, sbytes);
-    numa_hint(s.ghost);
-    switch (kind) {
-      case OpKind::Put:
-        pmpi_->put(env, packed.data() + s.payload_off, s.tcount, s.tdt,
-                   s.ghost, s.tdisp, s.tcount, s.tdt, iw);
-        break;
-      case OpKind::Acc:
-        pmpi_->accumulate(env, packed.data() + s.payload_off, s.tcount, s.tdt,
-                          s.ghost, s.tdisp, s.tcount, s.tdt, op, iw);
-        break;
-      case OpKind::Get:
-        pmpi_->get(env, gather.data() + s.payload_off, s.tcount, s.tdt,
-                   s.ghost, s.tdisp, s.tcount, s.tdt, iw);
-        break;
-      case OpKind::GetAcc:
-        pmpi_->get_accumulate(env, packed.data() + s.payload_off, s.tcount,
-                              s.tdt, gather.data() + s.payload_off, s.tcount,
-                              s.tdt, s.ghost, s.tdisp, s.tcount, s.tdt, op,
-                              iw);
-        break;
-      default:
-        break;
+    note_redirect(s.ghost, mpi::data_bytes(s.tcount, s.tdt));
+    mpi::RmaArgs piece = redirected(s.ghost, s.tdisp);
+    piece.tcount = s.tcount;
+    piece.tdt = s.tdt;
+    if (kind != OpKind::Get) {
+      piece.origin_addr = packed.data() + s.payload_off;
+      piece.ocount = s.tcount;
+      piece.odt = s.tdt;
     }
+    if (fetches) {
+      piece.result_addr = gather.data() + s.payload_off;
+      piece.rcount = s.tcount;
+      piece.rdt = s.tdt;
+    }
+    pmpi_->rma(env, piece, iw);
     ++*hot().split_subops;
   }
   if (fetches) {
@@ -566,57 +504,28 @@ void CasperLayer::issue(Env& env, OpKind kind, AccOp op, const void* o,
     // here (a flush on the involved ghosts), trading a little overlap for
     // correctness of the strided reassembly.
     for (const SubOp& s : subs) pmpi_->win_flush(env, s.ghost, iw);
-    mpi::unpack(res, rc, rdt, gather);
+    mpi::unpack(a.result_addr, a.rcount, a.rdt, gather);
   }
 }
 
 // ----------------------------------------------------------- self ops ----
 
-void CasperLayer::exec_self(Env& env, OpKind kind, AccOp op, const void* o,
-                            int oc, const Datatype& odt, const void* o2,
-                            void* res, int rc, const Datatype& rdt,
-                            std::size_t disp_bytes, int tc,
-                            const Datatype& tdt, CspWin& cw, int target) {
+void CasperLayer::exec_self(Env& env, const mpi::RmaArgs& a,
+                            std::size_t disp_bytes, CspWin& cw) {
   // Local load/store access (self locks are never delayed). Executed
-  // synchronously on my own shared segment.
+  // synchronously on my own shared segment. Only PUT and GET get here:
+  // accumulate-class self ops go through the bound ghost.
   env.ctx().advance(sim::ns(80));
   std::byte* taddr =
-      cw.user_win->segs[static_cast<std::size_t>(target)].base + disp_bytes;
+      cw.user_win->segs[static_cast<std::size_t>(a.target)].base +
+      disp_bytes;
   sim::PoolBuf scratch(&rt_->buffer_pool());
-  switch (kind) {
-    case OpKind::Put: {
-      mpi::pack_into(scratch, o, oc, odt);
-      mpi::unpack(taddr, tc, tdt, scratch);
-      break;
-    }
-    case OpKind::Get: {
-      mpi::pack_into(scratch, taddr, tc, tdt);
-      mpi::unpack(res, rc, rdt, scratch);
-      break;
-    }
-    case OpKind::Acc: {
-      mpi::pack_into(scratch, o, oc, odt);
-      mpi::reduce_into(taddr, tc, tdt, scratch, op);
-      break;
-    }
-    case OpKind::GetAcc:
-    case OpKind::Fao: {
-      if (res != nullptr) {
-        mpi::pack_into(scratch, taddr, tc, tdt);
-        mpi::unpack(res, rc, rdt, scratch);
-      }
-      mpi::pack_into(scratch, o, oc, odt);
-      mpi::reduce_into(taddr, tc, tdt, scratch, op);
-      break;
-    }
-    case OpKind::Cas: {
-      const std::size_t es = tdt.elem_size();
-      if (res != nullptr) std::memcpy(res, taddr, es);
-      if (std::memcmp(taddr, o, es) == 0) std::memcpy(taddr, o2, es);
-      break;
-    }
-    default:
-      MMPI_REQUIRE(false, "casper: bad self op");
+  if (a.kind == OpKind::Put) {
+    mpi::pack_into(scratch, a.origin_addr, a.ocount, a.odt);
+    mpi::unpack(taddr, a.tcount, a.tdt, scratch);
+  } else {
+    mpi::pack_into(scratch, taddr, a.tcount, a.tdt);
+    mpi::unpack(a.result_addr, a.rcount, a.rdt, scratch);
   }
   ++*hot().self_ops;
 
@@ -624,74 +533,22 @@ void CasperLayer::exec_self(Env& env, OpKind kind, AccOp op, const void* o,
     // Self PUT/GET bypass the runtime's AM path entirely (direct load/store
     // above); synthesize the committed op so the shadow oracle sees it.
     mpi::AmOp aop;
-    aop.kind = kind;
-    aop.op = op;
+    aop.kind = a.kind;
+    aop.op = a.op;
     aop.origin_world = env.world_rank();
     aop.target_world = env.world_rank();
     aop.win = cw.user_win.get();
-    aop.origin_comm_rank = target;
-    aop.target_comm_rank = target;
+    aop.origin_comm_rank = a.target;
+    aop.target_comm_rank = a.target;
     aop.target_disp = disp_bytes;
-    aop.target_count = tc;
-    aop.target_dt = tdt;
+    aop.target_count = a.tcount;
+    aop.target_dt = a.tdt;
     aop.payload.bind(&rt_->buffer_pool());
-    if (kind == OpKind::Cas) {
-      const std::size_t es = tdt.elem_size();
-      aop.payload.resize(2 * es);
-      std::memcpy(aop.payload.data(), o, es);
-      std::memcpy(aop.payload.data() + es, o2, es);
-    } else if (kind != OpKind::Get) {
-      mpi::pack_into(aop.payload, o, oc, odt);
+    if (a.kind == OpKind::Put) {
+      mpi::pack_into(aop.payload, a.origin_addr, a.ocount, a.odt);
     }
     rt_->observe_commit(aop, env.now(), env.world_rank());
   }
-}
-
-// ---------------------------------------------------------- public RMA ----
-
-void CasperLayer::put(Env& env, const void* o, int oc, Datatype odt,
-                      int target, std::size_t tdisp, int tc, Datatype tdt,
-                      const Win& w) {
-  issue(env, OpKind::Put, AccOp::Replace, o, oc, odt, nullptr, nullptr, 0,
-        Datatype{}, target, tdisp, tc, tdt, w);
-}
-
-void CasperLayer::get(Env& env, void* o, int oc, Datatype odt, int target,
-                      std::size_t tdisp, int tc, Datatype tdt, const Win& w) {
-  issue(env, OpKind::Get, AccOp::Replace, nullptr, 0, Datatype{}, nullptr, o,
-        oc, odt, target, tdisp, tc, tdt, w);
-}
-
-void CasperLayer::accumulate(Env& env, const void* o, int oc, Datatype odt,
-                             int target, std::size_t tdisp, int tc,
-                             Datatype tdt, AccOp op, const Win& w) {
-  issue(env, OpKind::Acc, op, o, oc, odt, nullptr, nullptr, 0, Datatype{},
-        target, tdisp, tc, tdt, w);
-}
-
-void CasperLayer::get_accumulate(Env& env, const void* o, int oc,
-                                 Datatype odt, void* res, int rc,
-                                 Datatype rdt, int target, std::size_t tdisp,
-                                 int tc, Datatype tdt, AccOp op,
-                                 const Win& w) {
-  issue(env, OpKind::GetAcc, op, o, oc, odt, nullptr, res, rc, rdt, target,
-        tdisp, tc, tdt, w);
-}
-
-void CasperLayer::fetch_and_op(Env& env, const void* value, void* result,
-                               mpi::Dt dt, int target, std::size_t tdisp,
-                               AccOp op, const Win& w) {
-  issue(env, OpKind::Fao, op, value, 1, mpi::contig(dt), nullptr, result, 1,
-        mpi::contig(dt), target, tdisp, 1, mpi::contig(dt), w);
-}
-
-void CasperLayer::compare_and_swap(Env& env, const void* expected,
-                                   const void* desired, void* result,
-                                   mpi::Dt dt, int target, std::size_t tdisp,
-                                   const Win& w) {
-  issue(env, OpKind::Cas, AccOp::Replace, expected, 1, mpi::contig(dt),
-        desired, result, 1, mpi::contig(dt), target, tdisp, 1,
-        mpi::contig(dt), w);
 }
 
 // ------------------------------------------------------ epoch translation --

@@ -25,16 +25,23 @@ enum class OpKind : std::uint8_t {
   LockRelease,  // passive-target unlock
 };
 
-/// A software-path operation delivered to a target rank's inbox (or handled
-/// by that rank's progress agent). Executed target-side with a processing
-/// cost; an acknowledgment (optionally carrying fetched data) returns to the
-/// origin on completion.
+/// An RMA operation after packing at the origin, and the one record that
+/// carries it to target memory: queued while a delayed lock is pending,
+/// delivered to a target rank's inbox (or handled by that rank's progress
+/// agent or the NIC), and executed target-side by Runtime::stage/land with a
+/// processing cost; an acknowledgment (optionally carrying fetched data)
+/// returns to the origin on completion. Lock requests and releases ride the
+/// same record.
 struct AmOp {
   OpKind kind = OpKind::Put;
-  std::uint64_t opid = 0;
+  AccOp op = AccOp::Replace;
+  LockType lock_type = LockType::Shared;  ///< LockReq / LockRelease only
+  /// The memory this op touches lives in a different NUMA domain than the
+  /// processing entity (Casper: a ghost serving a remote-domain user's
+  /// segment); processing pays the cross-domain memory penalty.
+  bool cross_numa = false;
   int origin_world = -1;
   int target_world = -1;
-  WinImpl* win = nullptr;
   int origin_comm_rank = -1;
   int target_comm_rank = -1;
   /// Accounting coordinates: the (origin_comm_rank, ·) cell whose
@@ -42,12 +49,13 @@ struct AmOp {
   /// target_comm_rank to a successor ghost; the ack still settles against
   /// the cell the origin issued to. -1 = same as target_comm_rank.
   int acct_target_comm = -1;
+  std::uint64_t opid = 0;
+  WinImpl* win = nullptr;
 
   // data description (target side)
   std::size_t target_disp = 0;  // bytes (disp * disp_unit resolved at issue)
   int target_count = 0;
   Datatype target_dt;
-  AccOp op = AccOp::Replace;
 
   // payload for Put/Acc/GetAcc/Fao/Cas (packed origin data), drawn from the
   // runtime's buffer pool. Cas: payload = [compare | new]; single elements.
@@ -57,35 +65,6 @@ struct AmOp {
   void* origin_result = nullptr;
   int origin_count = 0;
   Datatype origin_dt;
-
-  // lock protocol
-  LockType lock_type = LockType::Shared;
-
-  sim::Time delivered = 0;
-  /// Arrived while the target was busy outside the MPI runtime: it will be
-  /// drained late and pays the in-application progress penalty.
-  bool busy_arrival = false;
-  /// The memory this op touches lives in a different NUMA domain than the
-  /// processing entity (Casper: a ghost serving a remote-domain user's
-  /// segment); processing pays the cross-domain memory penalty.
-  bool cross_numa = false;
-};
-
-/// Origin-side description of an RMA operation after packing: everything
-/// needed to inject it onto the wire. Ops issued before a (delayed) lock is
-/// granted are queued in this form and injected when the grant arrives.
-struct OpDesc {
-  OpKind kind = OpKind::Put;
-  AccOp op = AccOp::Replace;
-  bool cross_numa = false;  ///< processing crosses a NUMA domain (see AmOp)
-  sim::PoolBuf payload;     // packed origin data (Put/Acc/GetAcc/Fao);
-                            // for Cas: [compare | desired]
-  std::size_t tdisp_bytes = 0;
-  int tcount = 0;
-  Datatype tdt;
-  void* origin_result = nullptr;  // Get/GetAcc/Fao/Cas destination
-  int ocount = 0;
-  Datatype odt;
 };
 
 /// A two-sided message in flight / queued unexpected.

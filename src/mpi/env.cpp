@@ -11,22 +11,24 @@ Layer& Env::layer() { return rt_->layer(); }
 
 void Env::prologue() { rt_->call_prologue(*this); }
 
-void Env::observe_rma_issue(OpKind kind, AccOp op, int target,
-                            std::size_t tdisp, int tcount, const Datatype& tdt,
-                            const Win& win) {
-  AmOp aop;
-  aop.kind = kind;
-  aop.op = op;
-  aop.origin_world = world_rank();
-  aop.target_world = win->comm()->world_rank(target);
-  aop.win = win.get();
-  aop.origin_comm_rank = win->comm()->rank_of_world(world_rank());
-  aop.target_comm_rank = target;
-  aop.target_disp =
-      tdisp * win->segs[static_cast<std::size_t>(target)].disp_unit;
-  aop.target_count = tcount;
-  aop.target_dt = tdt;
-  rt_->observe_issue(aop, now());
+void Env::rma(const RmaArgs& a, const Win& win) {
+  prologue();
+  if (kRaceObsCompiled && rt_->has_observers()) {
+    AmOp aop;
+    aop.kind = a.kind;
+    aop.op = a.op;
+    aop.origin_world = world_rank();
+    aop.target_world = win->comm()->world_rank(a.target);
+    aop.win = win.get();
+    aop.origin_comm_rank = win->comm()->rank_of_world(world_rank());
+    aop.target_comm_rank = a.target;
+    aop.target_disp =
+        a.tdisp * win->segs[static_cast<std::size_t>(a.target)].disp_unit;
+    aop.target_count = a.tcount;
+    aop.target_dt = a.tdt;
+    rt_->observe_issue(aop, now());
+  }
+  layer().rma(*this, a, win);
 }
 
 void Env::local_store(const void* src, std::size_t offset, std::size_t len,
@@ -192,66 +194,57 @@ Segment Env::win_shared_query(const Win& win, int comm_rank) {
 
 void Env::put(const void* origin, int ocount, Datatype odt, int target,
               std::size_t tdisp, int tcount, Datatype tdt, const Win& win) {
-  prologue();
-  if (kRaceObsCompiled && rt_->has_observers()) {
-    observe_rma_issue(OpKind::Put, AccOp::Replace, target, tdisp, tcount, tdt,
-                      win);
-  }
-  layer().put(*this, origin, ocount, odt, target, tdisp, tcount, tdt, win);
+  rma({.kind = OpKind::Put, .origin_addr = origin, .ocount = ocount,
+       .odt = odt, .target = target, .tdisp = tdisp, .tcount = tcount,
+       .tdt = tdt},
+      win);
 }
 
 void Env::get(void* origin, int ocount, Datatype odt, int target,
               std::size_t tdisp, int tcount, Datatype tdt, const Win& win) {
-  prologue();
-  if (kRaceObsCompiled && rt_->has_observers()) {
-    observe_rma_issue(OpKind::Get, AccOp::Replace, target, tdisp, tcount, tdt,
-                      win);
-  }
-  layer().get(*this, origin, ocount, odt, target, tdisp, tcount, tdt, win);
+  rma({.kind = OpKind::Get, .result_addr = origin, .rcount = ocount,
+       .rdt = odt, .target = target, .tdisp = tdisp, .tcount = tcount,
+       .tdt = tdt},
+      win);
 }
 
 void Env::accumulate(const void* origin, int ocount, Datatype odt, int target,
                      std::size_t tdisp, int tcount, Datatype tdt, AccOp op,
                      const Win& win) {
-  prologue();
-  if (kRaceObsCompiled && rt_->has_observers()) {
-    observe_rma_issue(OpKind::Acc, op, target, tdisp, tcount, tdt, win);
-  }
-  layer().accumulate(*this, origin, ocount, odt, target, tdisp, tcount, tdt,
-                     op, win);
+  rma({.kind = OpKind::Acc, .op = op, .origin_addr = origin,
+       .ocount = ocount, .odt = odt, .target = target, .tdisp = tdisp,
+       .tcount = tcount, .tdt = tdt},
+      win);
 }
 
 void Env::get_accumulate(const void* origin, int ocount, Datatype odt,
                          void* result, int rcount, Datatype rdt, int target,
                          std::size_t tdisp, int tcount, Datatype tdt,
                          AccOp op, const Win& win) {
-  prologue();
-  if (kRaceObsCompiled && rt_->has_observers()) {
-    observe_rma_issue(OpKind::GetAcc, op, target, tdisp, tcount, tdt, win);
-  }
-  layer().get_accumulate(*this, origin, ocount, odt, result, rcount, rdt,
-                         target, tdisp, tcount, tdt, op, win);
+  rma({.kind = OpKind::GetAcc, .op = op, .origin_addr = origin,
+       .ocount = ocount, .odt = odt, .result_addr = result, .rcount = rcount,
+       .rdt = rdt, .target = target, .tdisp = tdisp, .tcount = tcount,
+       .tdt = tdt},
+      win);
 }
 
 void Env::fetch_and_op(const void* value, void* result, Dt dt, int target,
                        std::size_t tdisp, AccOp op, const Win& win) {
-  prologue();
-  if (kRaceObsCompiled && rt_->has_observers()) {
-    observe_rma_issue(OpKind::Fao, op, target, tdisp, 1, contig(dt), win);
-  }
-  layer().fetch_and_op(*this, value, result, dt, target, tdisp, op, win);
+  rma({.kind = OpKind::Fao, .op = op, .origin_addr = value, .ocount = 1,
+       .odt = contig(dt), .result_addr = result, .rcount = 1,
+       .rdt = contig(dt), .target = target, .tdisp = tdisp, .tcount = 1,
+       .tdt = contig(dt)},
+      win);
 }
 
 void Env::compare_and_swap(const void* expected, const void* desired,
                            void* result, Dt dt, int target, std::size_t tdisp,
                            const Win& win) {
-  prologue();
-  if (kRaceObsCompiled && rt_->has_observers()) {
-    observe_rma_issue(OpKind::Cas, AccOp::Replace, target, tdisp, 1,
-                      contig(dt), win);
-  }
-  layer().compare_and_swap(*this, expected, desired, result, dt, target,
-                           tdisp, win);
+  rma({.kind = OpKind::Cas, .origin_addr = expected, .origin_addr2 = desired,
+       .ocount = 1, .odt = contig(dt), .result_addr = result, .rcount = 1,
+       .rdt = contig(dt), .target = target, .tdisp = tdisp, .tcount = 1,
+       .tdt = contig(dt)},
+      win);
 }
 
 void Env::win_fence(unsigned mode_assert, const Win& win) {

@@ -158,12 +158,11 @@ class Env {
  private:
   Layer& layer();
   void prologue();
-  /// Report a program-order RMA issue to conformance observers BEFORE the
-  /// interception layer sees (and possibly redirects) it. Defined out of line
-  /// so env.hpp needs no Runtime definition; callers gate on kRaceObsCompiled
-  /// so the call folds away under -DCASPER_RACE=0.
-  void observe_rma_issue(OpKind kind, AccOp op, int target, std::size_t tdisp,
-                         int tcount, const Datatype& tdt, const Win& win);
+  /// The one RMA path every RMA call above takes: report the program-order
+  /// issue to conformance observers BEFORE the interception layer sees (and
+  /// possibly redirects) it, then hand the op to Layer::rma. The report
+  /// folds away under -DCASPER_RACE=0 (kRaceObsCompiled).
+  void rma(const RmaArgs& a, const Win& win);
 
   Runtime* rt_;
   sim::Context* ctx_;

@@ -5,6 +5,12 @@
 // an MPI library's internal entry points. Casper installs its own Layer that
 // wraps Pmpi, exactly as the real Casper overloads MPI_* symbols and calls
 // the PMPI_* name-shifted entry points underneath.
+//
+// An RMA op is described once: each Env RMA call builds one RmaArgs and
+// hands it to the single Layer::rma entry. A layer that redirects the op
+// (Casper) forwards a copy with its target, displacement, datatype and
+// window rewritten; the runtime packs it into the AmOp that carries it to
+// target memory (mpi/am.hpp).
 #pragma once
 
 #include <cstddef>
@@ -18,6 +24,27 @@
 namespace casper::mpi {
 
 class Env;
+
+/// One RMA op as issued: what the Env call named, in one record. Unused
+/// fields keep their defaults (a PUT has no result, a GET no origin data).
+struct RmaArgs {
+  OpKind kind = OpKind::Put;
+  AccOp op = AccOp::Replace;
+  const void* origin_addr = nullptr;
+  const void* origin_addr2 = nullptr;  ///< compare_and_swap "desired" operand
+  int ocount = 0;
+  Datatype odt{};
+  void* result_addr = nullptr;  ///< Get/GetAcc/Fao/Cas destination
+  int rcount = 0;
+  Datatype rdt{};
+  int target = -1;
+  std::size_t tdisp = 0;  ///< in units of the target's disp_unit
+  int tcount = 0;
+  Datatype tdt{};
+  /// The entity serving the op sits in another NUMA domain than the target
+  /// memory (Casper: a ghost serving a remote-domain user's segment).
+  bool cross_numa = false;
+};
 
 /// Abstract MPI call surface subject to interception.
 class Layer {
@@ -79,28 +106,9 @@ class Layer {
   virtual void win_free(Env& env, Win& win) = 0;
 
   // --- RMA communication ---------------------------------------------------
-  virtual void put(Env& env, const void* origin, int ocount, Datatype odt,
-                   int target, std::size_t tdisp, int tcount, Datatype tdt,
-                   const Win& win) = 0;
-  virtual void get(Env& env, void* origin, int ocount, Datatype odt,
-                   int target, std::size_t tdisp, int tcount, Datatype tdt,
-                   const Win& win) = 0;
-  virtual void accumulate(Env& env, const void* origin, int ocount,
-                          Datatype odt, int target, std::size_t tdisp,
-                          int tcount, Datatype tdt, AccOp op,
-                          const Win& win) = 0;
-  virtual void get_accumulate(Env& env, const void* origin, int ocount,
-                              Datatype odt, void* result, int rcount,
-                              Datatype rdt, int target, std::size_t tdisp,
-                              int tcount, Datatype tdt, AccOp op,
-                              const Win& win) = 0;
-  virtual void fetch_and_op(Env& env, const void* value, void* result, Dt dt,
-                            int target, std::size_t tdisp, AccOp op,
-                            const Win& win) = 0;
-  virtual void compare_and_swap(Env& env, const void* expected,
-                                const void* desired, void* result, Dt dt,
-                                int target, std::size_t tdisp,
-                                const Win& win) = 0;
+  /// Every RMA op (put, get, accumulate, get_accumulate, fetch_and_op,
+  /// compare_and_swap); `a.target` is a comm rank of win->comm().
+  virtual void rma(Env& env, const RmaArgs& a, const Win& win) = 0;
 
   // --- RMA synchronization -------------------------------------------------
   virtual void win_fence(Env& env, unsigned mode_assert, const Win& win) = 0;

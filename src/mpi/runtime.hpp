@@ -167,22 +167,7 @@ class Runtime {
   void p_win_free(Env& env, Win& win);
   Segment p_shared_query(Env& env, const Win& win, int comm_rank);
 
-  /// Unified RMA communication entry; `target` is a comm rank of win->comm().
-  struct RmaArgs {
-    OpKind kind = OpKind::Put;
-    AccOp op = AccOp::Replace;
-    const void* origin_addr = nullptr;
-    const void* origin_addr2 = nullptr;  // compare_and_swap "desired" operand
-    int ocount = 0;
-    Datatype odt;
-    void* result_addr = nullptr;  // Get/GetAcc/Fao/Cas destination
-    int rcount = 0;
-    Datatype rdt;
-    int target = -1;
-    std::size_t tdisp = 0;  // in units of the target's disp_unit
-    int tcount = 0;
-    Datatype tdt;
-  };
+  /// RMA communication entry; `a.target` is a comm rank of win->comm().
   void p_rma(Env& env, const RmaArgs& a, const Win& win);
 
   void p_win_fence(Env& env, unsigned mode_assert, const Win& win);
@@ -215,14 +200,6 @@ class Runtime {
   /// Software operations waiting for this rank's progress (diagnostics).
   std::size_t pending_am_count(int world_rank) const {
     return io_[static_cast<std::size_t>(world_rank)].inbox.size();
-  }
-
-  /// Hint from the interception layer that the NEXT RMA operation issued by
-  /// `world_rank` touches memory in a different NUMA domain than its
-  /// processing entity (Casper: ghost serving a remote-domain segment).
-  /// Consumed by the next p_rma call from that rank.
-  void set_next_op_cross_numa(int world_rank, bool cross) {
-    io_[static_cast<std::size_t>(world_rank)].next_op_cross_numa = cross;
   }
 
   /// Mark a rank as a dedicated progress rank (a Casper ghost): it serves
@@ -319,7 +296,6 @@ class Runtime {
     std::vector<Request> posted;   // pending receives, in post order
     sim::Time agent_busy_until = 0;  // progress-agent serialization point
     bool in_mpi = false;  // inside a progress-making MPI wait right now
-    bool next_op_cross_numa = false;  // layer hint for the next RMA op
   };
 
 
@@ -365,42 +341,44 @@ class Runtime {
 
   // --- RMA internals -------------------------------------------------------
   sim::Time wire_latency(int a_world, int b_world, std::size_t bytes) const;
-  bool is_hw_op(const OpDesc& d) const;
+  bool is_hw_op(const AmOp& op) const;
   /// Target-side software processing cost of an op.
   sim::Time am_cost(const AmOp& op) const;
-  /// Schedule wire transfer + target-side execution of an op. The origin has
-  /// already paid its injection overhead (or the op comes from the delayed
-  /// lock-grant path). Increments outstanding.
-  void inject_op(WinImpl& win, int origin_comm, int target_comm, OpDesc&& d,
-                 sim::Time t_issue);
+  /// Schedule wire transfer + target-side execution of an op packed by
+  /// p_rma; here it gets its opid. The origin has already paid its
+  /// injection overhead (or the op comes from the delayed lock-grant path).
+  /// Increments outstanding.
+  void inject_op(AmOp&& op, sim::Time t_issue);
   /// Route a delivered software op by the target's progress model.
   void deliver_am(AmOp&& op, sim::Time t_del);
   /// Agent-driven (thread / interrupt) processing of one op.
   void agent_process(AmOp&& op, sim::Time t_del);
   /// Rank-driven (poll) processing of one op; runs on the target's thread.
   void poller_process(Env& env, AmOp& op);
-  /// Target-memory read phase at processing start; returns data the write
-  /// phase commits at processing end (the read-at-start / write-at-end model
-  /// that exposes lost updates under concurrent unsynchronized processing).
-  /// Used only by the poller path, where a fiber yield separates the phases.
-  sim::PoolBuf am_read_phase(const AmOp& op);
-  /// Commit phase: writes target memory, records the access for atomicity-
-  /// violation detection, and schedules the acknowledgment.
-  void am_write_phase(const AmOp& op, sim::PoolBuf&& staged, sim::Time t0,
-                      sim::Time t1, int entity);
-  /// Fused read+commit for paths where both phases run at the same host
-  /// moment (NIC hardware execution, agent end-events): byte-identical to
-  /// am_read_phase + am_write_phase but reduces in place, with no staging
-  /// copy of the target region.
-  void am_commit(const AmOp& op, sim::Time t0, sim::Time t1, int entity);
+  /// The op's semantics on target memory, in two halves around its
+  /// processing span [t0, t1] (the read-at-start / write-at-end model that
+  /// exposes lost updates under concurrent unsynchronized processing).
+  /// stage: the read phase at processing start; returns what land commits
+  /// (an accumulate's combined value, a fetch's [old | new], a CAS's
+  /// [old | matched?]). land: the write phase at processing end; writes
+  /// target memory, records the access for atomicity-violation detection,
+  /// reports the commit to observers and returns the data the origin gets
+  /// back. Every serving path calls both: the poller with its processing
+  /// yield in between, the agents, the NIC, dead-rank service and self ops
+  /// back to back.
+  sim::PoolBuf stage(const AmOp& op);
+  sim::PoolBuf land(const AmOp& op, sim::PoolBuf&& staged, sim::Time t0,
+                    sim::Time t1, int entity);
+  /// A landed remote op's epilogue: the commit trace record and the ack
+  /// carrying `data` back to the origin.
+  void ack_landed(const AmOp& op, sim::Time t1, int entity,
+                  sim::PoolBuf&& data);
   /// Execute a self-targeted op synchronously (loads/stores, not delayed).
   void exec_self(Env& env, const AmOp& op);
   void record_access(std::uintptr_t lo, std::uintptr_t hi, sim::Time t0,
                      sim::Time t1, int entity, bool is_write);
   void schedule_ack(const AmOp& op, sim::Time t_done, sim::PoolBuf&& data);
 
-  // --- lock protocol -------------------------------------------------------
-  /// Ensure the delayed lock request for (win, target) has been sent.
   // --- fault machinery (runtime_core.cpp; all paths require fs_) -----------
   /// Reliable-transport state; allocated in the constructor iff a FaultPlan
   /// is installed. Defined in runtime_core.cpp.
@@ -430,7 +408,11 @@ class Runtime {
   /// Deep copy of an op (payload cloned from the pool) for retransmission.
   AmOp fault_clone(const AmOp& op);
 
+  // --- lock protocol -------------------------------------------------------
+  /// Send the delayed lock request for (win, target).
   void send_lock_request(Env& env, WinImpl& win, int target);
+  /// A delivered lock request or release, at the target's lock manager.
+  void serve_lock(const AmOp& op, sim::Time t);
   /// Target-side lock-manager request processing (grant or queue) at time t.
   void lockmgr_request(WinImpl& win, int target, int origin, LockType type,
                        sim::Time t);

@@ -23,7 +23,9 @@ std::byte* seg_addr(const WinImpl& win, int comm_rank, std::size_t disp_bytes) {
   return win.segs[static_cast<std::size_t>(comm_rank)].base + disp_bytes;
 }
 
-bool faultable_kind(OpKind k) {
+/// A data op, not lock traffic: it has target-memory semantics, and it is
+/// what the faulted transport retransmits and forwards.
+bool data_op(OpKind k) {
   return k != OpKind::LockReq && k != OpKind::LockRelease;
 }
 }  // namespace
@@ -291,17 +293,17 @@ Time Runtime::wire_latency(int a_world, int b_world,
   return profile().latency(topo().same_node(a_world, b_world), bytes);
 }
 
-bool Runtime::is_hw_op(const OpDesc& d) const {
-  switch (d.kind) {
+bool Runtime::is_hw_op(const AmOp& op) const {
+  switch (op.kind) {
     case OpKind::Put:
-      return profile().hw_contig_put && d.tdt.contiguous();
+      return profile().hw_contig_put && op.target_dt.contiguous();
     case OpKind::Get:
-      return profile().hw_contig_get && d.tdt.contiguous();
+      return profile().hw_contig_get && op.target_dt.contiguous();
     case OpKind::Acc:
     case OpKind::GetAcc:
     case OpKind::Fao:
     case OpKind::Cas:
-      return profile().hw_contig_acc && d.tdt.contiguous();
+      return profile().hw_contig_acc && op.target_dt.contiguous();
     case OpKind::LockReq:
     case OpKind::LockRelease:
       return profile().hw_lock;
@@ -321,32 +323,13 @@ Time Runtime::am_cost(const AmOp& op) const {
 
 // -------------------------------------------------------------- inject ----
 
-void Runtime::inject_op(WinImpl& win, int origin_comm, int target_comm,
-                        OpDesc&& d, Time t_issue) {
-  const int ow = win.comm()->world_rank(origin_comm);
-  const int tw = win.comm()->world_rank(target_comm);
-  auto& ots = win.ost[static_cast<std::size_t>(origin_comm)]
-                  .tgt[static_cast<std::size_t>(target_comm)];
-  ++ots.outstanding;
-
-  AmOp op;
-  op.kind = d.kind;
-  op.op = d.op;
+void Runtime::inject_op(AmOp&& op, Time t_issue) {
+  const int ow = op.origin_world;
+  const int tw = op.target_world;
+  ++op.win->ost[static_cast<std::size_t>(op.origin_comm_rank)]
+        .tgt[static_cast<std::size_t>(op.target_comm_rank)]
+        .outstanding;
   op.opid = make_opid();
-  op.origin_world = ow;
-  op.target_world = tw;
-  op.win = &win;
-  op.origin_comm_rank = origin_comm;
-  op.target_comm_rank = target_comm;
-  op.acct_target_comm = target_comm;
-  op.target_disp = d.tdisp_bytes;
-  op.target_count = d.tcount;
-  op.target_dt = d.tdt;
-  op.payload = std::move(d.payload);
-  op.origin_result = d.origin_result;
-  op.origin_count = d.ocount;
-  op.origin_dt = d.odt;
-  op.cross_numa = d.cross_numa;
   if (op.cross_numa) ++*hot().cross_numa_ops;
 
   const bool request_like =
@@ -354,7 +337,7 @@ void Runtime::inject_op(WinImpl& win, int origin_comm, int target_comm,
   const std::size_t wire_bytes = request_like ? 16 : op.payload.size();
   const Time t_del = t_issue + wire_latency(ow, tw, wire_bytes);
 
-  if (is_hw_op(d)) {
+  if (is_hw_op(op)) {
     ++*hot().hw_ops;
     // Hardware execution: performed "by the NIC" instantly at delivery; the
     // target CPU is not involved. NIC entity ids live above agent ids.
@@ -367,9 +350,8 @@ void Runtime::inject_op(WinImpl& win, int origin_comm, int target_comm,
                                   static_cast<std::uint64_t>(op.kind),
                                   op.payload.size());
       }
-      // Both processing phases happen at the same host moment, so the
-      // staged read buffer is unobservable: commit in place.
-      am_commit(op, t_del, t_del, nic_entity);
+      ack_landed(op, t_del, nic_entity,
+                 land(op, stage(op), t_del, t_del, nic_entity));
     });
   } else {
     ++*hot().sw_ops;
@@ -429,7 +411,7 @@ void Runtime::deliver_am(AmOp&& op, Time t_del) {
     int s = fs_->successor[static_cast<std::size_t>(op.target_world)];
     while (s >= 0 && fs_->dead[static_cast<std::size_t>(s)])
       s = fs_->successor[static_cast<std::size_t>(s)];
-    if (s >= 0 && faultable_kind(op.kind)) {
+    if (s >= 0 && data_op(op.kind)) {
       ++*fs_->c_forwards;
       op.target_world = s;
       op.target_comm_rank = op.win->comm()->rank_of_world(s);
@@ -440,13 +422,13 @@ void Runtime::deliver_am(AmOp&& op, Time t_del) {
       return;
     }
   }
-  op.delivered = t_del;
   switch (cfg_.progress.kind) {
     case progress::Kind::None: {
       auto& io = io_[static_cast<std::size_t>(op.target_world)];
       const int tw = op.target_world;
-      op.busy_arrival = !io.in_mpi;
-      ++*(op.busy_arrival ? hot().am_busy_arrival : hot().am_prompt);
+      // Arrived while the target was busy outside the MPI runtime: it is
+      // drained late, at the target's next MPI call.
+      ++*(io.in_mpi ? hot().am_prompt : hot().am_busy_arrival);
       io.inbox.push_back(std::move(op));
       engine_->wake(tw, t_del);
       break;
@@ -484,24 +466,16 @@ void Runtime::agent_process(AmOp&& op, Time t_del) {
 
   const int entity = engine_->nranks() + op.target_world;  // agent id space
   post_event(start, [this, op = std::move(op), start, end, entity]() mutable {
-    if (op.kind == OpKind::LockReq) {
-      lockmgr_request(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                      op.lock_type, end);
-      return;
-    }
-    if (op.kind == OpKind::LockRelease) {
-      lockmgr_release(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                      op.lock_type, end, /*notify_origin=*/true);
+    if (!data_op(op.kind)) {
+      serve_lock(op, end);
       return;
     }
     // The agent serializes its operations (busy_until), so the
-    // read-modify-write commits atomically at the end event; the recorded
+    // read-modify-write lands atomically at the end event; the recorded
     // [start, end) interval still exposes overlaps with *other* entities.
-    // Read and write both execute at the end event (same host moment), so
-    // the fused in-place commit is byte-identical to the two-phase form.
     post_event(end, [this, op = std::move(op), start, end, entity]() mutable {
       if (fs_ && !fault_should_execute(op, end)) return;
-      am_commit(op, start, end, entity);
+      ack_landed(op, end, entity, land(op, stage(op), start, end, entity));
     });
   });
 }
@@ -518,23 +492,16 @@ void Runtime::poller_process(Env& env, AmOp& op) {
                             : profile().busy_factor(topo().cores_per_node);
   const Time cost =
       static_cast<Time>(static_cast<double>(am_cost(op)) * factor);
-  if (op.kind == OpKind::LockReq) {
+  if (!data_op(op.kind)) {
     env.ctx().advance(cost);
-    lockmgr_request(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                    op.lock_type, env.now());
-    return;
-  }
-  if (op.kind == OpKind::LockRelease) {
-    env.ctx().advance(cost);
-    lockmgr_release(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                    op.lock_type, env.now(), /*notify_origin=*/true);
+    serve_lock(op, env.now());
     return;
   }
   // Dedup gate: a duplicate delivery (network dup, or a retransmission that
   // raced the ack) must not re-execute — especially not a read-modify-write.
   if (fs_ && !fault_should_execute(op, env.now())) return;
   const Time t0 = env.now();
-  auto staged = am_read_phase(op);
+  sim::PoolBuf staged = stage(op);
   env.ctx().advance(cost);
   if (fs_ && fs_->dead[static_cast<std::size_t>(env.world_rank())]) {
     // The serving rank was killed between the read and write phases: the
@@ -555,13 +522,15 @@ void Runtime::poller_process(Env& env, AmOp& op) {
     rec->metrics().counter("ghost." + g + ".service_bytes") += moved;
     rec->metrics().histogram("ghost_service_ns").add(env.now() - t0);
   }
-  am_write_phase(op, std::move(staged), t0, env.now(), env.world_rank());
+  const int me = env.world_rank();
+  ack_landed(op, env.now(), me, land(op, std::move(staged), t0, env.now(), me));
 }
 
 // ----------------------------------------------------------- execution ----
 
-sim::PoolBuf Runtime::am_read_phase(const AmOp& op) {
-  std::byte* taddr = seg_addr(*op.win, op.target_comm_rank, op.target_disp);
+sim::PoolBuf Runtime::stage(const AmOp& op) {
+  const std::byte* taddr =
+      seg_addr(*op.win, op.target_comm_rank, op.target_disp);
   const std::size_t nbytes = data_bytes(op.target_count, op.target_dt);
   const std::size_t nelems = nbytes / op.target_dt.elem_size();
   sim::PoolBuf staged(&pool_);
@@ -569,57 +538,53 @@ sim::PoolBuf Runtime::am_read_phase(const AmOp& op) {
   switch (op.kind) {
     case OpKind::Put:
     case OpKind::Get:
-      return staged;  // Put writes payload; Get reads at commit time.
-    case OpKind::Acc: {
-      if (op.op == AccOp::Replace || op.op == AccOp::NoOp) return staged;
-      // Read-modify-write: read target at processing start, combine, commit
-      // at processing end. Overlapping concurrent processing by different
-      // entities loses updates — by design, to model the real hazard.
+      break;  // Put lands its payload; Get reads at landing time.
+    case OpKind::Acc:
+      if (op.op == AccOp::Replace || op.op == AccOp::NoOp) break;
+      // Read-modify-write: read the target at processing start, combine,
+      // land at processing end. Overlapping concurrent processing by
+      // different entities loses updates — by design, to model the real
+      // hazard. reduce_contig computes dst = op(dst, src) with dst = target
+      // and src = origin, the MPI_Accumulate order.
       pack_into(staged, taddr, op.target_count, op.target_dt);
-      reduce_contig(staged.data(), op.payload.data(), nelems, op.target_dt.base,
-                    op.op == AccOp::Sum ? AccOp::Sum : op.op);
-      // staged now holds op(target_old, origin): note reduce_contig computes
-      // dst = op(dst, src) with dst = target_old, src = origin. For Sum /
-      // Min / Max this matches MPI_Accumulate semantics.
-      return staged;
-    }
+      reduce_contig(staged.data(), op.payload.data(), nelems,
+                    op.target_dt.base, op.op);
+      break;
     case OpKind::GetAcc:
-    case OpKind::Fao: {
+    case OpKind::Fao:
+      // [old | new]: size the block for both halves before pack_into
+      // trims it to the old value, so the growth back never reallocates.
       staged.resize(nbytes * 2);
-      pack_into(staged, taddr, op.target_count, op.target_dt);  // trimmed...
-      staged.resize(nbytes * 2);  // ...back to [old | new] width
+      pack_into(staged, taddr, op.target_count, op.target_dt);
+      staged.resize(nbytes * 2);
       std::memcpy(staged.data() + nbytes, staged.data(), nbytes);
-      if (op.op != AccOp::NoOp) {
-        if (op.op == AccOp::Replace) {
-          std::memcpy(staged.data() + nbytes, op.payload.data(), nbytes);
-        } else {
-          reduce_contig(staged.data() + nbytes, op.payload.data(), nelems,
-                        op.target_dt.base, op.op);
-        }
+      if (op.op == AccOp::Replace) {
+        std::memcpy(staged.data() + nbytes, op.payload.data(), nbytes);
+      } else if (op.op != AccOp::NoOp) {
+        reduce_contig(staged.data() + nbytes, op.payload.data(), nelems,
+                      op.target_dt.base, op.op);
       }
-      return staged;  // [old | new]
-    }
+      break;
     case OpKind::Cas: {
       const std::size_t es = op.target_dt.elem_size();
-      staged.resize(es + 1);
+      staged.resize(es + 1);  // [old | matched?]
       std::memcpy(staged.data(), taddr, es);
       const bool equal = std::memcmp(taddr, op.payload.data(), es) == 0;
       staged.data()[es] = static_cast<std::byte>(equal ? 1 : 0);
-      return staged;  // [old | matched?]
+      break;
     }
     case OpKind::LockReq:
     case OpKind::LockRelease:
-      break;
+      MMPI_REQUIRE(false, "lock ops carry no target-memory semantics");
   }
   return staged;
 }
 
-void Runtime::am_write_phase(const AmOp& op, sim::PoolBuf&& staged, Time t0,
-                             Time t1, int entity) {
+sim::PoolBuf Runtime::land(const AmOp& op, sim::PoolBuf&& staged, Time t0,
+                           Time t1, int entity) {
   std::byte* taddr = seg_addr(*op.win, op.target_comm_rank, op.target_disp);
-  const std::size_t span = span_bytes(op.target_count, op.target_dt);
   const auto lo = reinterpret_cast<std::uintptr_t>(taddr);
-  const auto hi = lo + span;
+  const auto hi = lo + span_bytes(op.target_count, op.target_dt);
 
   sim::PoolBuf ack_data(&pool_);
   bool is_write = true;
@@ -645,109 +610,41 @@ void Runtime::am_write_phase(const AmOp& op, sim::PoolBuf&& staged, Time t0,
     case OpKind::Fao: {
       const std::size_t half = staged.size() / 2;
       ack_data.assign(staged.data(), half);
-      if (op.op != AccOp::NoOp) {
+      if (op.op == AccOp::NoOp) {
+        is_write = false;
+      } else {
         unpack(taddr, op.target_count, op.target_dt,
                std::span<const std::byte>(staged.data() + half, half));
-      } else {
-        is_write = false;
       }
       break;
     }
     case OpKind::Cas: {
+      // A failed compare leaves the target untouched: it lands as a read.
       const std::size_t es = op.target_dt.elem_size();
       ack_data.assign(staged.data(), es);
-      if (staged.data()[es] == static_cast<std::byte>(1)) {
-        // payload = [expected | desired]
-        std::memcpy(taddr, op.payload.data() + es, es);
-      } else {
-        is_write = false;
-      }
+      is_write = staged.data()[es] == static_cast<std::byte>(1);
+      if (is_write) std::memcpy(taddr, op.payload.data() + es, es);
       break;
     }
     case OpKind::LockReq:
     case OpKind::LockRelease:
-      MMPI_REQUIRE(false, "lock ops do not reach am_write_phase");
+      MMPI_REQUIRE(false, "lock ops carry no target-memory semantics");
   }
 
   record_access(lo, hi, t0, t1, entity, is_write);
-  if (obs::on(recorder())) {
-    recorder()->trace().instant(entity, obs::Ev::OpCommitted, t1, op.opid,
-                              static_cast<std::uint64_t>(op.kind),
-                              data_bytes(op.target_count, op.target_dt));
-    ++recorder()->metrics().counter("ops.committed");
-  }
   observe_commit(op, t1, entity);
-  schedule_ack(op, t1, std::move(ack_data));
+  return ack_data;
 }
 
-void Runtime::am_commit(const AmOp& op, Time t0, Time t1, int entity) {
-  // Fused read+write for paths whose two phases execute at the same host
-  // moment (NIC hardware ops; agent end-events). Reading the target here
-  // instead of staging it at processing start is byte-identical on those
-  // paths and skips the doubled scratch buffer entirely: accumulates reduce
-  // in place, fetches pack the old value straight into the ack. The poller
-  // path yields between phases and must keep the staged two-phase form.
-  std::byte* taddr = seg_addr(*op.win, op.target_comm_rank, op.target_disp);
-  const std::size_t span = span_bytes(op.target_count, op.target_dt);
-  const auto lo = reinterpret_cast<std::uintptr_t>(taddr);
-  const auto hi = lo + span;
-
-  sim::PoolBuf ack_data(&pool_);
-  bool is_write = true;
-
-  switch (op.kind) {
-    case OpKind::Put:
-      unpack(taddr, op.target_count, op.target_dt, op.payload);
-      break;
-    case OpKind::Get:
-      pack_into(ack_data, taddr, op.target_count, op.target_dt);
-      is_write = false;
-      break;
-    case OpKind::Acc:
-      if (op.op == AccOp::NoOp) {
-        is_write = false;
-      } else if (op.op == AccOp::Replace) {
-        unpack(taddr, op.target_count, op.target_dt, op.payload);
-      } else {
-        reduce_into(taddr, op.target_count, op.target_dt, op.payload, op.op);
-      }
-      break;
-    case OpKind::GetAcc:
-    case OpKind::Fao:
-      pack_into(ack_data, taddr, op.target_count, op.target_dt);  // old value
-      if (op.op == AccOp::NoOp) {
-        is_write = false;
-      } else if (op.op == AccOp::Replace) {
-        unpack(taddr, op.target_count, op.target_dt, op.payload);
-      } else {
-        reduce_into(taddr, op.target_count, op.target_dt, op.payload, op.op);
-      }
-      break;
-    case OpKind::Cas: {
-      const std::size_t es = op.target_dt.elem_size();
-      ack_data.assign(taddr, es);  // old value
-      if (std::memcmp(taddr, op.payload.data(), es) == 0) {
-        // payload = [expected | desired]
-        std::memcpy(taddr, op.payload.data() + es, es);
-      } else {
-        is_write = false;
-      }
-      break;
-    }
-    case OpKind::LockReq:
-    case OpKind::LockRelease:
-      MMPI_REQUIRE(false, "lock ops do not reach am_commit");
-  }
-
-  record_access(lo, hi, t0, t1, entity, is_write);
+void Runtime::ack_landed(const AmOp& op, Time t1, int entity,
+                         sim::PoolBuf&& data) {
   if (obs::on(recorder())) {
     recorder()->trace().instant(entity, obs::Ev::OpCommitted, t1, op.opid,
-                              static_cast<std::uint64_t>(op.kind),
-                              data_bytes(op.target_count, op.target_dt));
+                                static_cast<std::uint64_t>(op.kind),
+                                data_bytes(op.target_count, op.target_dt));
     ++recorder()->metrics().counter("ops.committed");
   }
-  observe_commit(op, t1, entity);
-  schedule_ack(op, t1, std::move(ack_data));
+  schedule_ack(op, t1, std::move(data));
 }
 
 void Runtime::exec_self(Env& env, const AmOp& op) {
@@ -756,56 +653,13 @@ void Runtime::exec_self(Env& env, const AmOp& op) {
   env.ctx().advance(sim::ns(80) + static_cast<Time>(
                                       0.02 * static_cast<double>(
                                                  op.payload.size())));
-  // Commit immediately with a zero-width interval; no ack (nothing is
-  // outstanding for self ops). Fetch results land via pooled scratch.
-  std::byte* taddr = seg_addr(*op.win, op.target_comm_rank, op.target_disp);
-  const std::size_t span = span_bytes(op.target_count, op.target_dt);
-  const auto lo = reinterpret_cast<std::uintptr_t>(taddr);
+  // Land immediately with a zero-width interval; no ack (nothing is
+  // outstanding for self ops): fetched data goes straight to the result.
   const Time t = env.now();
-
-  switch (op.kind) {
-    case OpKind::Put:
-      unpack(taddr, op.target_count, op.target_dt, op.payload);
-      record_access(lo, lo + span, t, t, env.world_rank(), true);
-      break;
-    case OpKind::Get:
-      if (op.origin_result) {
-        sim::PoolBuf data(&pool_);
-        pack_into(data, taddr, op.target_count, op.target_dt);
-        unpack(op.origin_result, op.origin_count, op.origin_dt, data);
-      }
-      record_access(lo, lo + span, t, t, env.world_rank(), false);
-      break;
-    case OpKind::Acc: {
-      reduce_into(taddr, op.target_count, op.target_dt, op.payload, op.op);
-      record_access(lo, lo + span, t, t, env.world_rank(), op.op != AccOp::NoOp);
-      break;
-    }
-    case OpKind::GetAcc:
-    case OpKind::Fao: {
-      if (op.origin_result) {
-        sim::PoolBuf old(&pool_);
-        pack_into(old, taddr, op.target_count, op.target_dt);
-        unpack(op.origin_result, op.origin_count, op.origin_dt, old);
-      }
-      reduce_into(taddr, op.target_count, op.target_dt, op.payload, op.op);
-      record_access(lo, lo + span, t, t, env.world_rank(), op.op != AccOp::NoOp);
-      break;
-    }
-    case OpKind::Cas: {
-      const std::size_t es = op.target_dt.elem_size();
-      if (op.origin_result) std::memcpy(op.origin_result, taddr, es);
-      if (std::memcmp(taddr, op.payload.data(), es) == 0) {
-        std::memcpy(taddr, op.payload.data() + es, es);
-      }
-      record_access(lo, lo + es, t, t, env.world_rank(), true);
-      break;
-    }
-    case OpKind::LockReq:
-    case OpKind::LockRelease:
-      MMPI_REQUIRE(false, "lock ops are not self-executed ops");
+  sim::PoolBuf data = land(op, stage(op), t, t, env.world_rank());
+  if (op.origin_result != nullptr && !data.empty()) {
+    unpack(op.origin_result, op.origin_count, op.origin_dt, data);
   }
-  observe_commit(op, t, env.world_rank());
 }
 
 void Runtime::record_access(std::uintptr_t lo, std::uintptr_t hi, Time t0,
@@ -845,7 +699,7 @@ void Runtime::schedule_ack(const AmOp& op, Time t_done,
   const int rcount = op.origin_count;
   const Datatype rdt = op.origin_dt;
 
-  if (fs_ && faultable_kind(op.kind)) {
+  if (fs_ && data_op(op.kind)) {
     // Transport-faulted op (it has a dedup entry from the execution gate):
     // cache the ack payload for idempotent re-acks, then run the
     // ack-direction verdict. A dropped ack is recovered by the origin's
@@ -1061,23 +915,17 @@ bool Runtime::fault_complete(std::uint64_t opid) {
 }
 
 void Runtime::fault_serve_dead(AmOp&& op, Time t) {
-  if (op.kind == OpKind::LockReq) {
-    lockmgr_request(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                    op.lock_type, t);
-    return;
-  }
-  if (op.kind == OpKind::LockRelease) {
-    lockmgr_release(*op.win, op.target_comm_rank, op.origin_comm_rank,
-                    op.lock_type, t, /*notify_origin=*/true);
+  if (!data_op(op.kind)) {
+    serve_lock(op, t);
     return;
   }
   if (!fault_should_execute(op, t)) return;
   ++*fs_->c_dead_serves;
   // In-flight one-sided data is not lost when the serving process dies: the
   // NIC/memory system completes the transfer at delivery time. Zero-width
-  // commit, so it cannot interleave with a live entity's two-phase service.
+  // landing, so it cannot interleave with a live entity's two-phase service.
   const int nic_entity = 2 * engine_->nranks() + op.target_world;
-  am_commit(op, t, t, nic_entity);
+  ack_landed(op, t, nic_entity, land(op, stage(op), t, t, nic_entity));
 }
 
 void Runtime::fault_kill_rank(int world_rank, Time t) {
@@ -1132,10 +980,20 @@ void Runtime::send_lock_request(Env& env, WinImpl& win, int target) {
   }
 }
 
+void Runtime::serve_lock(const AmOp& op, Time t) {
+  if (op.kind == OpKind::LockReq) {
+    lockmgr_request(*op.win, op.target_comm_rank, op.origin_comm_rank,
+                    op.lock_type, t);
+  } else {
+    lockmgr_release(*op.win, op.target_comm_rank, op.origin_comm_rank,
+                    op.lock_type, t, /*notify_origin=*/true);
+  }
+}
+
 void Runtime::lockmgr_request(WinImpl& win, int target, int origin,
                               LockType type, Time t) {
   auto& tl = win.locks[static_cast<std::size_t>(target)];
-  if (tl.grantable(type, origin) && tl.pending.empty()) {
+  if (tl.grantable(type) && tl.pending.empty()) {
     tl.grant(type, origin);
     const int ow = win.comm()->world_rank(origin);
     const int tw = win.comm()->world_rank(target);
@@ -1169,7 +1027,7 @@ void Runtime::lockmgr_release(WinImpl& win, int target, int origin,
 
   // Grant pending requests in FIFO order while compatible.
   while (!tl.pending.empty() &&
-         tl.grantable(tl.pending.front().type, tl.pending.front().origin)) {
+         tl.grantable(tl.pending.front().type)) {
     auto p = tl.pending.front();
     tl.pending.pop_front();
     tl.grant(p.type, p.origin);
@@ -1193,9 +1051,9 @@ void Runtime::on_lock_granted(WinImpl& win, int origin, int target, Time t) {
   Time ti = t;
   auto queued = std::move(ots.queued);
   ots.queued.clear();
-  for (auto& d : queued) {
+  for (AmOp& op : queued) {
     ti += profile().op_inject;
-    inject_op(win, origin, target, std::move(d), ti);
+    inject_op(std::move(op), ti);
   }
   engine_->wake(win.comm()->world_rank(origin), t);
 }

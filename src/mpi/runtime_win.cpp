@@ -198,31 +198,35 @@ void Runtime::p_rma(Env& env, const RmaArgs& a, const Win& win) {
     ++recorder()->metrics().counter("ops.issued");
   }
 
-  auto& rio = io_[static_cast<std::size_t>(env.world_rank())];
-  OpDesc d;
-  d.kind = a.kind;
-  d.op = a.op;
-  d.cross_numa = rio.next_op_cross_numa;
-  rio.next_op_cross_numa = false;
-  d.tdisp_bytes = disp_bytes;
-  d.tcount = a.tcount;
-  d.tdt = a.tdt;
-  d.origin_result = a.result_addr;
-  d.ocount = a.rcount;
-  d.odt = a.rdt;
-  d.payload.bind(&pool_);
+  AmOp op;
+  op.kind = a.kind;
+  op.op = a.op;
+  op.origin_world = env.world_rank();
+  op.target_world = win->comm()->world_rank(a.target);
+  op.win = win.get();
+  op.origin_comm_rank = me;
+  op.target_comm_rank = a.target;
+  op.acct_target_comm = a.target;
+  op.target_disp = disp_bytes;
+  op.target_count = a.tcount;
+  op.target_dt = a.tdt;
+  op.origin_result = a.result_addr;
+  op.origin_count = a.rcount;
+  op.origin_dt = a.rdt;
+  op.cross_numa = a.cross_numa;
+  op.payload.bind(&pool_);
   switch (a.kind) {
     case OpKind::Put:
     case OpKind::Acc:
     case OpKind::GetAcc:
     case OpKind::Fao:
-      pack_into(d.payload, a.origin_addr, a.ocount, a.odt);
+      pack_into(op.payload, a.origin_addr, a.ocount, a.odt);
       break;
     case OpKind::Cas: {
       const std::size_t es = a.tdt.elem_size();
-      d.payload.resize(2 * es);
-      std::memcpy(d.payload.data(), a.origin_addr, es);
-      std::memcpy(d.payload.data() + es, a.origin_addr2, es);
+      op.payload.resize(2 * es);
+      std::memcpy(op.payload.data(), a.origin_addr, es);
+      std::memcpy(op.payload.data() + es, a.origin_addr2, es);
       break;
     }
     case OpKind::Get:
@@ -240,23 +244,7 @@ void Runtime::p_rma(Env& env, const RmaArgs& a, const Win& win) {
       cfg_.progress.kind != progress::Kind::None &&
       (a.kind == OpKind::Acc || a.kind == OpKind::GetAcc ||
        a.kind == OpKind::Fao || a.kind == OpKind::Cas);
-  if (win->comm()->world_rank(a.target) == env.world_rank() &&
-      !self_acc_needs_agent) {
-    AmOp op;
-    op.kind = d.kind;
-    op.op = d.op;
-    op.origin_world = env.world_rank();
-    op.target_world = env.world_rank();
-    op.win = win.get();
-    op.origin_comm_rank = me;
-    op.target_comm_rank = a.target;
-    op.target_disp = d.tdisp_bytes;
-    op.target_count = d.tcount;
-    op.target_dt = d.tdt;
-    op.payload = std::move(d.payload);
-    op.origin_result = d.origin_result;
-    op.origin_count = d.ocount;
-    op.origin_dt = d.odt;
+  if (op.target_world == op.origin_world && !self_acc_needs_agent) {
     exec_self(env, op);
     return;
   }
@@ -272,15 +260,15 @@ void Runtime::p_rma(Env& env, const RmaArgs& a, const Win& win) {
   // first operation (not by MPI_Win_lock) — matching MPICH-family behaviour.
   if (ots.lock_st == LockSt::Intent) {
     send_lock_request(env, *win, a.target);
-    ots.queued.push_back(std::move(d));
+    ots.queued.push_back(std::move(op));
     return;
   }
   if (ots.lock_st == LockSt::Requested) {
-    ots.queued.push_back(std::move(d));
+    ots.queued.push_back(std::move(op));
     return;
   }
 
-  inject_op(*win, me, a.target, std::move(d), env.now());
+  inject_op(std::move(op), env.now());
 }
 
 // ------------------------------------------------------- fence epochs ----
@@ -423,7 +411,7 @@ void Runtime::p_win_lock(Env& env, LockType type, int target,
     // Self locks are granted synchronously (never delayed): required so the
     // application can use load/store on its own window memory.
     auto& tl = win->locks[static_cast<std::size_t>(target)];
-    if (tl.grantable(type, me) && tl.pending.empty()) {
+    if (tl.grantable(type) && tl.pending.empty()) {
       tl.grant(type, me);
       ots.lock_st = LockSt::Granted;
     } else {
@@ -514,7 +502,7 @@ void Runtime::p_win_lock_all(Env& env, unsigned mode_assert, const Win& win) {
     ots.lock_assert = mode_assert;
     if (win->comm()->world_rank(t) == env.world_rank()) {
       auto& tl = win->locks[static_cast<std::size_t>(t)];
-      if (tl.grantable(LockType::Shared, me) && tl.pending.empty()) {
+      if (tl.grantable(LockType::Shared) && tl.pending.empty()) {
         tl.grant(LockType::Shared, me);
         ots.lock_st = LockSt::Granted;
       } else {

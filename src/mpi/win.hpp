@@ -37,8 +37,7 @@ struct TargetLockState {
   };
   std::deque<Pending> pending;
 
-  bool grantable(LockType t, int origin) const {
-    (void)origin;
+  bool grantable(LockType t) const {
     if (excl_holder >= 0) return false;
     if (t == LockType::Exclusive) return shared_count == 0;
     return true;  // shared is compatible with shared
@@ -68,7 +67,7 @@ struct OriginTargetState {
   bool release_pending = false;  ///< unlock sent, release-ack not yet back
   int outstanding = 0;  ///< RMA ops issued but not remotely acknowledged
   /// Ops queued origin-side while the (delayed) lock is not yet granted.
-  std::vector<OpDesc> queued;
+  std::vector<AmOp> queued;
 };
 
 /// One rank's origin-side view of a window.
