@@ -170,6 +170,10 @@ cmake -B "$BUILD_NT" -S . -DCASPER_TRACE=OFF \
   -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD_NT" -j"$JOBS"
 "./$BUILD_NT/tests/test_casper" >/dev/null
+# Plan-cache hit/miss counting is gated on obs::on; the binding and
+# adaptive suites must pass with it folded away.
+"./$BUILD_NT/tests/test_casper_bindings" >/dev/null
+"./$BUILD_NT/tests/test_adaptive" >/dev/null
 # The RMA issue path reports to the race analyzer behind CASPER_RACE
 # (kRaceObsCompiled, mpi/observe.hpp); prove that gate folds away cleanly
 # and the RMA suites still pass with it off.
@@ -177,8 +181,12 @@ BUILD_NR=build-norace
 cmake -B "$BUILD_NR" -S . -DCASPER_RACE=OFF \
   -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD_NR" -j"$JOBS" --target test_casper test_mpi_rma
+cmake --build "$BUILD_NR" -j"$JOBS" --target test_casper_bindings \
+  test_adaptive
 "./$BUILD_NR/tests/test_casper" >/dev/null
 "./$BUILD_NR/tests/test_mpi_rma" >/dev/null
+"./$BUILD_NR/tests/test_casper_bindings" >/dev/null
+"./$BUILD_NR/tests/test_adaptive" >/dev/null
 
 echo "== [14/14] perf-regression gate: BENCH_*.json ratchet =="
 # Host-side perf ratchet against the committed baselines, serial (the bench

@@ -73,16 +73,16 @@ struct Config {
   /// Test-only fault injection, used by the conformance harness to prove the
   /// shadow oracle detects real binding bugs. Never set outside tests.
   struct Fault {
-    /// Mirror the segment→ghost owner mapping for odd user origins: even and
-    /// odd origins then route the same segment to different ghosts, so two
-    /// processing entities read-modify-write the same bytes concurrently —
-    /// exactly the hazard static segment binding exists to prevent
-    /// (paper III.B.2). Requires ghosts_per_node >= 2 to have any effect.
+    /// Odd user origins route every segment item of a static window's
+    /// binding table to the mirrored ghost slot (slots - 1 - slot); the
+    /// piece boundaries stay the true item boundaries. Even and odd origins
+    /// then route the same bytes to different ghosts, so two processing
+    /// entities read-modify-write them concurrently — exactly the hazard
+    /// static segment binding exists to prevent (paper III.B.2). Requires
+    /// segment binding and ghosts_per_node >= 2 to have any effect; never
+    /// applies to adaptive windows. The flip is pure in the origin and the
+    /// plan key, so flipped plans are cached like any other.
     bool flip_segment_binding = false;
-    /// Scope the flip (and its plan-cache bypass) to the managed window with
-    /// this allocation sequence number; -1 applies it to every window. An
-    /// unfaulted window keeps its plan cache during faulted runs.
-    int flip_only_seq = -1;
   } fault;
 };
 

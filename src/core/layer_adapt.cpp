@@ -20,7 +20,6 @@
 
 #include "core/layer_impl.hpp"
 #include "mpi/check.hpp"
-#include "mpi/datatype.hpp"
 #include "progress/adaptive.hpp"
 
 namespace casper::core {
@@ -35,64 +34,10 @@ static_assert(static_cast<int>(DynamicLb::OpCounting) ==
 static_assert(static_cast<int>(DynamicLb::ByteCounting) ==
               progress::kLbByteCount);
 
-namespace {
-std::size_t align16(std::size_t v) {
-  return (v + mpi::kMaxBasicDtSize - 1) & ~(mpi::kMaxBasicDtSize - 1);
-}
-}  // namespace
-
 void CasperLayer::init_adapt(CspWin& cw) const {
   auto& ad = cw.adapt;
   ad.on = true;
-  const std::size_t nnodes = node_ghosts_.size();
-  ad.nodes.assign(nnodes, progress::AdaptNode{});
-  ad.sub_bytes.assign(nnodes, 0);
-  std::vector<int> init_map;
-  int first = 0;
-  for (std::size_t n = 0; n < nnodes; ++n) {
-    const int g = static_cast<int>(node_ghosts_[n].size());
-    int count = 0;
-    if (cfg_.binding == Binding::Rank) {
-      count = static_cast<int>(node_users_[n].size());
-      init_map.resize(static_cast<std::size_t>(first + count), 0);
-    } else {
-      // Mirror resolve_static's chunk computation, then split every chunk
-      // into `subchunks` 16B-aligned pieces the controller can move
-      // independently. When sub_bytes divides the chunk (the common
-      // power-of-two case) the initial map routes byte-for-byte like the
-      // static owner function.
-      const std::size_t total = cw.node_total[n];
-      std::size_t chunk = (total + static_cast<std::size_t>(g) - 1) /
-                          static_cast<std::size_t>(g);
-      chunk = align16(chunk);
-      if (chunk == 0) chunk = mpi::kMaxBasicDtSize;
-      const int sub = std::max(1, cfg_.adaptive.subchunks);
-      std::size_t sb = align16((chunk + static_cast<std::size_t>(sub) - 1) /
-                               static_cast<std::size_t>(sub));
-      if (sb == 0) sb = mpi::kMaxBasicDtSize;
-      ad.sub_bytes[n] = sb;
-      count = g * sub;
-      init_map.resize(static_cast<std::size_t>(first + count), 0);
-      for (int i = 0; i < count; ++i) {
-        init_map[static_cast<std::size_t>(first + i)] = static_cast<int>(
-            std::min(static_cast<std::size_t>(i) * sb / chunk,
-                     static_cast<std::size_t>(g - 1)));
-      }
-    }
-    ad.nodes[n] = progress::AdaptNode{first, count, g};
-    first += count;
-  }
-  if (cfg_.binding == Binding::Rank) {
-    // Initial slots = the static (possibly NUMA-aware) rank binding.
-    for (const TargetInfo& ti : cw.tgt) {
-      const auto& ng = node_ghosts_[static_cast<std::size_t>(ti.node)];
-      const auto it = std::find(ng.begin(), ng.end(), ti.bound_ghost);
-      init_map[static_cast<std::size_t>(
-          ad.nodes[static_cast<std::size_t>(ti.node)].first + ti.local_idx)] =
-          static_cast<int>(it - ng.begin());
-    }
-  }
-  const std::size_t nitems = static_cast<std::size_t>(first);
+  const std::size_t nitems = cw.bind.map.size();
   for (auto& buf : ad.board) {
     buf.resize(cw.ep.size());
     for (auto& s : buf) {
@@ -101,7 +46,7 @@ void CasperLayer::init_adapt(CspWin& cw) const {
     }
   }
   for (auto& ep : cw.ep) {
-    ep.adapt.map = init_map;
+    ep.adapt.map = cw.bind.map;
     ep.adapt.weight.assign(nitems, obs::Ewma{});
     ep.adapt.policy = static_cast<int>(cfg_.dynamic);
     ep.adapt.round = 0;
@@ -112,31 +57,20 @@ void CasperLayer::init_adapt(CspWin& cw) const {
 
 void CasperLayer::adapt_note(CspWin& cw, OriginEp& ep, const TargetInfo& ti,
                              std::size_t node_off, std::size_t nbytes) {
-  const auto& nd = cw.adapt.nodes[static_cast<std::size_t>(ti.node)];
   auto& acc = ep.adapt_acc;
   if (cfg_.binding == Binding::Rank) {
-    const auto item = static_cast<std::size_t>(nd.first + ti.local_idx);
+    const std::size_t item = cw.bind.rank_item(ti);
     ++acc.item_ops[item];
     acc.item_bytes[item] += nbytes;
     return;
   }
   // Segment: attribute exactly per subchunk, so a remapped piece keeps an
   // honest weight no matter which ghost currently serves it.
-  const std::size_t sb = cw.adapt.sub_bytes[static_cast<std::size_t>(ti.node)];
-  const std::size_t last = static_cast<std::size_t>(nd.count - 1);
-  std::size_t off = node_off;
-  std::size_t left = nbytes;
-  while (true) {
-    const std::size_t ci = std::min(off / sb, last);
-    const std::size_t item = static_cast<std::size_t>(nd.first) + ci;
-    const std::size_t take =
-        ci == last ? left : std::min(left, (ci + 1) * sb - off);
-    ++acc.item_ops[item];
-    acc.item_bytes[item] += take;
-    left -= take;
-    if (left == 0) break;
-    off += take;
-  }
+  walk_items(cw.bind, ti.node, node_off, nbytes,
+             [&acc](std::size_t item, std::size_t, std::size_t len) {
+               ++acc.item_ops[item];
+               acc.item_bytes[item] += len;
+             });
 }
 
 void CasperLayer::adapt_seal(CspWin& cw, int me_u) {
@@ -162,7 +96,7 @@ void CasperLayer::adapt_decide(Env& env, CspWin& cw, int me_u) {
   auto& ep = cw.ep[static_cast<std::size_t>(me_u)];
   const auto& board = cw.adapt.board[ep.adapt.round & 1];
   const progress::AdaptOutcome out =
-      progress::decide(cfg_.adaptive, cw.adapt.nodes, board, ep.adapt);
+      progress::decide(cfg_.adaptive, cw.bind.nodes, board, ep.adapt);
   if (out.remapped) ++ep.plans.gen;  // cached splits route by the old map
   if (me_u != 0 || !obs::on(rt_->recorder())) return;
   obs::Recorder* rec = rt_->recorder();
@@ -205,85 +139,10 @@ void CasperLayer::adapt_barrier(Env& env, const mpi::Comm& c) {
   for (CspWin* cw : wins) adapt_decide(env, *cw, me_u);
 }
 
-int CasperLayer::adapt_ghost(int node, int slot) const {
-  const auto& ng = node_ghosts_[static_cast<std::size_t>(node)];
-  int gw = ng[static_cast<std::size_t>(slot) % ng.size()];
-  // Same pure death-fallback as the static path's ghost_at: decisions never
-  // read death state, issue time applies it, so a rebind in flight during a
-  // ghost kill still resolves to one agreed map on every origin.
-  const auto& alive = alive_ghosts_[static_cast<std::size_t>(node)];
-  if (any_ghost_dead_ && ghost_dead_[static_cast<std::size_t>(gw)] != 0 &&
-      !alive.empty()) {
-    gw = alive[static_cast<std::size_t>(slot) % alive.size()];
-  }
-  return gw;
-}
-
 DynamicLb CasperLayer::effective_lb(const CspWin& cw,
                                     const OriginEp& ep) const {
   if (!cw.adapt.on) return cfg_.dynamic;
   return static_cast<DynamicLb>(ep.adapt.policy);
-}
-
-void CasperLayer::resolve_adaptive(CspWin& cw, int origin, int target,
-                                   std::size_t disp_bytes, int tcount,
-                                   const mpi::Datatype& tdt,
-                                   std::vector<SubOp>& out) {
-  const auto& ti = cw.tgt[static_cast<std::size_t>(target)];
-  const auto& ep = cw.ep[static_cast<std::size_t>(origin)];
-  const auto& nd = cw.adapt.nodes[static_cast<std::size_t>(ti.node)];
-  const std::size_t base = ti.offset + disp_bytes;
-
-  if (cfg_.binding == Binding::Rank) {
-    const int slot = ep.adapt.map[static_cast<std::size_t>(nd.first +
-                                                           ti.local_idx)];
-    out.push_back(SubOp{adapt_ghost(ti.node, slot), base, tcount, tdt, 0});
-    return;
-  }
-
-  // Segment binding at subchunk granularity: the walk is resolve_static's,
-  // with the byte→owner map indirected through the controller's replicated
-  // item→slot map. Subchunk boundaries are 16B aligned, so a split never
-  // divides a basic element, and all origins share one map at any instant —
-  // accumulate atomicity holds exactly as for the static chunking.
-  const std::size_t sb = cw.adapt.sub_bytes[static_cast<std::size_t>(ti.node)];
-  const std::size_t last = static_cast<std::size_t>(nd.count - 1);
-  const std::size_t es = tdt.elem_size();
-  const std::size_t block = static_cast<std::size_t>(tdt.blocklen) * es;
-  const std::size_t stride = static_cast<std::size_t>(tdt.stride) * es;
-  std::size_t payload_off = 0;
-  for (int b = 0; b < tcount; ++b) {
-    std::size_t lo = base + static_cast<std::size_t>(b) * stride;
-    std::size_t remaining = block;
-    while (remaining > 0) {
-      const std::size_t ci = std::min(lo / sb, last);
-      const std::size_t len =
-          ci == last ? remaining : std::min(remaining, (ci + 1) * sb - lo);
-      MMPI_REQUIRE(len % es == 0 && lo % es == 0,
-                   "casper: adaptive subchunk boundary would split a basic "
-                   "element (misaligned displacement)");
-      const int slot = ep.adapt.map[static_cast<std::size_t>(nd.first) + ci];
-      const int gw = adapt_ghost(ti.node, slot);
-      if (!out.empty() && out.back().ghost == gw &&
-          out.back().tdisp + static_cast<std::size_t>(out.back().tcount) *
-                                 out.back().tdt.elem_size() *
-                                 static_cast<std::size_t>(
-                                     out.back().tdt.blocklen) ==
-              lo &&
-          out.back().tdt.contiguous() &&
-          out.back().payload_off +
-                  mpi::data_bytes(out.back().tcount, out.back().tdt) ==
-              payload_off) {
-        out.back().tcount += static_cast<int>(len / es);
-      } else {
-        out.push_back(SubOp{gw, lo, static_cast<int>(len / es),
-                            mpi::contig(tdt.base), payload_off});
-      }
-      lo += len;
-      payload_off += len;
-      remaining -= len;
-    }
-  }
 }
 
 // ------------------------------------------------- introspection ----------

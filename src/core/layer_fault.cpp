@@ -3,8 +3,9 @@
 // later and invokes the handler registered here. Recovery has three tiers:
 //
 //   1. surviving ghosts on the node absorb the dead ghost's load — rank
-//      bindings rebind, segment chunks remap (resolve_static::ghost_at), and
-//      every cached split plan is invalidated;
+//      items of the window's binding table rebind, every other item whose
+//      ghost died is served by ghost_of's pure survivor fallback, and every
+//      cached split plan is invalidated;
 //   2. while retransmissions are still addressed to the dead ghost, the
 //      runtime forwards them to a live successor precomputed below, so
 //      read-modify-writes stay serialized through one live entity;
@@ -69,18 +70,23 @@ void CasperLayer::on_ghost_death(int world_rank, sim::Time t) {
               alive.end());
   ++rt_->stats().counter("recovery.ghost_dead");
 
-  // Rebind every managed window: targets rank-bound to the dead ghost move
-  // to a survivor, and all cached split plans become stale (segment chunks
-  // owned by the dead ghost now remap through resolve_static::ghost_at).
+  // Rebind every managed window: in the shared map, each rank item (one
+  // per node-local user) whose ghost died moves to alive[local_idx %
+  // |alive|], and all cached split plans become stale (segment items and
+  // adaptive replicas route through ghost_of's survivor fallback instead).
+  const auto& ng = node_ghosts_[static_cast<std::size_t>(node)];
+  const bool rebind = cfg_.binding == Binding::Rank && !alive.empty();
   std::uint64_t rebound = 0;
   for (auto& [impl, cwp] : winmap_) {
     CspWin& cw = *cwp;
-    for (auto& ti : cw.tgt) {
-      if (ti.bound_ghost == world_rank && !alive.empty()) {
-        ti.bound_ghost = alive[static_cast<std::size_t>(ti.local_idx) %
-                               alive.size()];
-        ++rebound;
-      }
+    const auto& nd = cw.bind.nodes[static_cast<std::size_t>(node)];
+    for (int li = 0; rebind && li < nd.count; ++li) {
+      int& slot = cw.bind.map[static_cast<std::size_t>(nd.first + li)];
+      if (ng[static_cast<std::size_t>(slot)] != world_rank) continue;
+      const int gw = alive[static_cast<std::size_t>(li) % alive.size()];
+      slot = static_cast<int>(std::find(ng.begin(), ng.end(), gw) -
+                              ng.begin());
+      ++rebound;
     }
     for (auto& ep : cw.ep) ++ep.plans.gen;
   }

@@ -2,6 +2,7 @@
 // Internal header (exposed for white-box tests).
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -171,8 +172,7 @@ class CasperLayer final : public mpi::Layer {
     std::size_t offset = 0;  ///< byte offset of the segment in node buffer
     std::size_t size = 0;
     std::size_t disp_unit = 1;
-    int bound_ghost = -1;  ///< world rank (== comm rank in world windows)
-    int local_idx = 0;     ///< index among node-local users (ug_win index)
+    int local_idx = 0;  ///< index among node-local users (ug_win index)
   };
 
   /// Per-(origin, target) passive-epoch state.
@@ -203,7 +203,7 @@ class CasperLayer final : public mpi::Layer {
     std::size_t payload_off = 0;  ///< offset into packed origin data
   };
 
-  /// Memoized resolve_static output: applications re-issue the same op shape
+  /// Memoized resolve output: applications re-issue the same op shape
   /// (target, displacement, count, datatype) every iteration, and the
   /// byte→ghost split is pure in that key while the binding stands. Open
   /// addressing over a fixed power-of-two slot array with bounded linear
@@ -224,7 +224,6 @@ class CasperLayer final : public mpi::Layer {
     static constexpr std::size_t kProbe = 4;   // bounded displacement
     std::uint64_t gen = 1;  ///< bump to invalidate (lock/epoch transitions)
     std::vector<PlanEntry> slots;  // sized kSlots at window build
-    std::vector<SubOp> scratch;    ///< uncached path (fault injection)
   };
 
   /// Per-origin epoch state on one Casper window.
@@ -263,14 +262,27 @@ class CasperLayer final : public mpi::Layer {
     std::vector<mpi::Win> ug_wins;  ///< per local-user-index, over world
     mpi::Win global_win;            ///< fence/pscw/lockall window, over world
     unsigned epochs = kEpochAll;
-    std::vector<TargetInfo> tgt;          // per user comm rank
-    std::vector<std::size_t> node_total;  // per node: shared buffer bytes
-    std::vector<OriginEp> ep;             // per user comm rank
+    std::vector<TargetInfo> tgt;  // per user comm rank
+    std::vector<OriginEp> ep;     // per user comm rank
     int seq = 0;  ///< allocation sequence number (seq_wins_ key)
-    /// Fault-injection scoping (satellite fix for the global-flag bypass):
-    /// only a window whose sequence number matches Config::Fault selection
-    /// bypasses the plan cache / applies the origin-dependent segment flip.
-    bool flip_fault = false;
+    /// The one binding table (paper III.B.1/2): every target byte belongs
+    /// to exactly one item, and every item maps to one ghost slot (an index
+    /// into node_ghosts_) of its node. Rank binding has one item per
+    /// node-local user; segment binding one per 16B-aligned ghost chunk,
+    /// split into `adaptive.subchunks` items when the controller is on.
+    /// Static runs route by `map`; adaptive runs by each origin's replica
+    /// (OriginEp::adapt.map), seeded from it.
+    struct BindTable {
+      std::vector<progress::AdaptNode> nodes;  ///< item layout per node
+      std::vector<std::size_t> item_bytes;     ///< per node (segment)
+      std::vector<int> map;                    ///< item -> ghost slot
+      /// The item of a rank-bound target.
+      std::size_t rank_item(const TargetInfo& ti) const {
+        return static_cast<std::size_t>(
+            nodes[static_cast<std::size_t>(ti.node)].first + ti.local_idx);
+      }
+    };
+    BindTable bind;
     /// Fence-epoch degradation is latched *collectively*: at every fence all
     /// ranks allreduce the death sequence they observed, so every rank takes
     /// the direct-to-user-window route for the same epochs.
@@ -287,8 +299,6 @@ class CasperLayer final : public mpi::Layer {
     /// message chain is the cross-shard happens-before.
     struct AdaptShared {
       bool on = false;
-      std::vector<progress::AdaptNode> nodes;  ///< item layout per node
-      std::vector<std::size_t> sub_bytes;      ///< per node (segment mode)
       std::vector<progress::AdaptSample> board[2];  ///< [parity][origin]
     };
     AdaptShared adapt;
@@ -321,13 +331,40 @@ class CasperLayer final : public mpi::Layer {
   /// The internal window carrying operations to user target `u` under the
   /// currently active epoch of `origin`.
   mpi::Win& route_window(CspWin& cw, int origin, int target);
-  /// Static binding: resolve an op from user `origin` on user target `u`
-  /// into sub-ops. (`origin` only matters under fault injection, where the
-  /// segment→ghost map is deliberately made origin-dependent.)
-  void resolve_static(CspWin& cw, int origin, int target,
-                      std::size_t disp_bytes, int tcount,
-                      const mpi::Datatype& tdt, std::vector<SubOp>& out);
-  /// Cached resolve_static: returns the split plan for the key, computing it
+  /// Static binding: split an op from user `origin` on user `target` into
+  /// sub-ops along the item→slot `map` (the window's shared map, or the
+  /// origin's adaptive replica). `origin` only matters under the flip
+  /// fault, which deliberately makes the segment routing origin-dependent.
+  void resolve(const CspWin& cw, const std::vector<int>& map, int origin,
+               int target, std::size_t disp_bytes, int tcount,
+               const mpi::Datatype& tdt, std::vector<SubOp>& out) const;
+  /// Segment binding's one split walk: calls f(item, lo, len) for each
+  /// piece of the node-buffer byte range [lo, lo + len) that lies in one
+  /// item, in address order (once, with len 0, for an empty range).
+  template <class F>
+  static void walk_items(const CspWin::BindTable& bt, int node, std::size_t lo,
+                         std::size_t len, F&& f) {
+    const auto& nd = bt.nodes[static_cast<std::size_t>(node)];
+    const std::size_t ib = bt.item_bytes[static_cast<std::size_t>(node)];
+    const std::size_t last = static_cast<std::size_t>(nd.count - 1);
+    while (true) {
+      const std::size_t ci = std::min(lo / ib, last);
+      const std::size_t take =
+          ci == last ? len : std::min(len, (ci + 1) * ib - lo);
+      f(static_cast<std::size_t>(nd.first) + ci, lo, take);
+      len -= take;
+      if (len == 0) return;
+      lo += take;
+    }
+  }
+  /// Issue-time death fallback for segment items and adaptive replicas,
+  /// whose slots are never rebound: the ghost world rank of `slot` on
+  /// `node` or, once that ghost is dead and the node has survivors,
+  /// alive[slot % |alive|]. Pure in global death state, so every origin
+  /// routes a shared byte to the same survivor; with no survivor the dead
+  /// ghost is kept and the runtime completes its deliveries at the NIC.
+  int ghost_of(int node, int slot) const;
+  /// Cached resolve: returns the split plan for the key, computing it
   /// on miss. The reference stays valid until the next plan_lookup by the
   /// SAME origin (other origins use their own caches), which cannot happen
   /// inside one rma() call.
@@ -343,8 +380,8 @@ class CasperLayer final : public mpi::Layer {
                  CspWin& cw);
 
   // --- adaptive progress control (layer_adapt.cpp) -------------------------
-  /// Size the board/replicas and seed the initial map so that adaptive
-  /// resolution routes exactly like the static binding until a remap.
+  /// Size the board and seed every origin's replica from the window's
+  /// binding table, so adaptive routing equals static until a remap.
   void init_adapt(CspWin& cw) const;
   /// Issue-time attribution of one routed (sub)op's demand to its binding
   /// item, into the origin's PRIVATE accumulators.
@@ -360,18 +397,9 @@ class CasperLayer final : public mpi::Layer {
   /// Barrier override body for adaptive runs: seal every managed window,
   /// barrier, decide every managed window.
   void adapt_barrier(mpi::Env& env, const mpi::Comm& c);
-  /// Ghost world rank for a map slot, with the same pure death-fallback the
-  /// static path uses (decisions never read death state; issue time does).
-  int adapt_ghost(int node, int slot) const;
   /// Dynamic-binding policy in force: the controller's replica when
   /// adaptive, cfg.dynamic otherwise.
   DynamicLb effective_lb(const CspWin& cw, const OriginEp& ep) const;
-  /// Adaptive counterpart of resolve_static: routes by the origin's
-  /// replicated item→slot map (finer-grained subchunks under segment
-  /// binding).
-  void resolve_adaptive(CspWin& cw, int origin, int target,
-                        std::size_t disp_bytes, int tcount,
-                        const mpi::Datatype& tdt, std::vector<SubOp>& out);
 
   // --- ghost failure recovery (layer_fault.cpp) ----------------------------
   /// Register the runtime death handler and precompute successor forwarding

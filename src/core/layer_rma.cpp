@@ -83,102 +83,86 @@ mpi::Win& CasperLayer::route_window(CspWin& cw, int origin, int target) {
   return cw.global_win;
 }
 
-void CasperLayer::resolve_static(CspWin& cw, int origin, int target,
-                                 std::size_t disp_bytes, int tcount,
-                                 const Datatype& tdt,
-                                 std::vector<SubOp>& out) {
-  if (cw.adapt.on) {
-    // Adaptive runs route by the controller's replicated item→slot map
-    // (layer_adapt.cpp); the plan cache still memoizes the result — a remap
-    // bumps the generation. Fault-injected map flips don't compose with the
-    // controller (the flip exists to break the static owner function).
-    resolve_adaptive(cw, origin, target, disp_bytes, tcount, tdt, out);
-    return;
+int CasperLayer::ghost_of(int node, int slot) const {
+  const auto s = static_cast<std::size_t>(slot);
+  const int gw = node_ghosts_[static_cast<std::size_t>(node)][s];
+  const auto& alive = alive_ghosts_[static_cast<std::size_t>(node)];
+  if (any_ghost_dead_ && ghost_dead_[static_cast<std::size_t>(gw)] != 0 &&
+      !alive.empty()) {
+    return alive[s % alive.size()];
   }
+  return gw;
+}
+
+void CasperLayer::resolve(const CspWin& cw, const std::vector<int>& map,
+                          int origin, int target, std::size_t disp_bytes,
+                          int tcount, const Datatype& tdt,
+                          std::vector<SubOp>& out) const {
   const auto& ti = cw.tgt[static_cast<std::size_t>(target)];
   const std::size_t base = ti.offset + disp_bytes;  // node-buffer frame
 
   if (cfg_.binding == Binding::Rank) {
-    out.push_back(SubOp{ti.bound_ghost, base, tcount, tdt, 0});
+    // on_ghost_death rebinds the shared map's rank items, so a static item
+    // still naming a dead ghost belongs to a window that missed that
+    // rebinding (built while or after the ghost died): its ops go to the
+    // dead ghost and the runtime forwards them to the precomputed
+    // successor. Adaptive replicas are never rebound and take ghost_of's
+    // fallback.
+    const int slot = map[cw.bind.rank_item(ti)];
+    const int gw =
+        cw.adapt.on ? ghost_of(ti.node, slot)
+                    : node_ghosts_[static_cast<std::size_t>(ti.node)]
+                                  [static_cast<std::size_t>(slot)];
+    out.push_back(SubOp{gw, base, tcount, tdt, 0});
     return;
   }
 
-  // Static segment binding: the node's exposed memory is divided into
-  // ghosts_per_node chunks aligned to the maximum basic datatype size
-  // (16 bytes), and each chunk is owned by one ghost (paper III.B.2).
-  const auto& ng = node_ghosts_[static_cast<std::size_t>(ti.node)];
-  const std::size_t g = ng.size();
-  const std::size_t total = cw.node_total[static_cast<std::size_t>(ti.node)];
-  std::size_t chunk = (total + g - 1) / g;
-  chunk = (chunk + mpi::kMaxBasicDtSize - 1) &
-          ~(mpi::kMaxBasicDtSize - 1);  // 16B alignment
-  if (chunk == 0) chunk = mpi::kMaxBasicDtSize;
-
-  auto owner = [&](std::size_t b) {
-    std::size_t ow = std::min(b / chunk, g - 1);
-    // Injected fault (tests only): odd origins see a mirrored map, so two
-    // ghosts end up serving the same segment concurrently. A *consistent*
-    // flip would still be a valid binding; only the origin dependence
-    // breaks the one-segment-one-ghost invariant. Scoped per window so an
-    // unfaulted window keeps its ordinary (cached) resolution.
-    if (cw.flip_fault && (origin & 1)) ow = g - 1 - ow;
-    return ow;
-  };
-
-  // Ghost-failure rebinding: a chunk owned by a dead ghost is served by a
-  // survivor instead. The remap is a pure function of global death state, so
-  // every origin routes a shared byte to the SAME survivor (accumulate
-  // atomicity holds across the rebinding). With no survivors the original
-  // owner is kept: the runtime completes those deliveries at the NIC.
-  const auto& alive = alive_ghosts_[static_cast<std::size_t>(ti.node)];
-  auto ghost_at = [&](std::size_t ow) {
-    int gw = ng[ow];
-    if (any_ghost_dead_ && ghost_dead_[static_cast<std::size_t>(gw)] != 0 &&
-        !alive.empty()) {
-      gw = alive[ow % alive.size()];
-    }
-    return gw;
-  };
-
+  // Injected fault (tests only): odd origins see every segment item served
+  // by the mirrored ghost slot, so two ghosts end up serving the same bytes
+  // concurrently. A *consistent* flip would still be a valid binding; only
+  // the origin dependence breaks the one-segment-one-ghost invariant. The
+  // controller's map is never flipped.
+  const bool flip =
+      cfg_.fault.flip_segment_binding && !cw.adapt.on && (origin & 1) != 0;
+  const int slots = cw.bind.nodes[static_cast<std::size_t>(ti.node)].slots;
   const std::size_t es = tdt.elem_size();
   const std::size_t block = static_cast<std::size_t>(tdt.blocklen) * es;
   const std::size_t stride = static_cast<std::size_t>(tdt.stride) * es;
   std::size_t payload_off = 0;
 
   // Walk the (possibly strided) target layout block by block, splitting each
-  // contiguous block at chunk boundaries — never inside a basic element
-  // (boundaries are 16B aligned and displacements element-aligned).
+  // contiguous block at item boundaries — never inside a basic element
+  // (boundaries are 16B aligned and displacements element-aligned). All
+  // origins share one map at any instant, so any two overlapping
+  // accumulates meet at the same ghost for the bytes they share.
   for (int b = 0; b < tcount; ++b) {
-    std::size_t lo = base + static_cast<std::size_t>(b) * stride;
-    std::size_t remaining = block;
-    while (remaining > 0) {
-      const std::size_t ow = owner(lo);
-      const std::size_t chunk_end = (ow + 1) * chunk;
-      std::size_t len = std::min(remaining, chunk_end - lo);
-      MMPI_REQUIRE(len % es == 0 && lo % es == 0,
-                   "casper: segment boundary would split a basic element "
-                   "(misaligned displacement; see paper III.B.2)");
-      const int gw = ghost_at(ow);
-      // Extend an existing sub-op for the same ghost if contiguous with it.
-      if (!out.empty() && out.back().ghost == gw &&
-          out.back().tdisp + static_cast<std::size_t>(out.back().tcount) *
-                                 out.back().tdt.elem_size() *
-                                 static_cast<std::size_t>(
-                                     out.back().tdt.blocklen) ==
-              lo &&
-          out.back().tdt.contiguous() &&
-          out.back().payload_off +
-                  mpi::data_bytes(out.back().tcount, out.back().tdt) ==
-              payload_off) {
-        out.back().tcount += static_cast<int>(len / es);
-      } else {
-        out.push_back(SubOp{gw, lo, static_cast<int>(len / es),
-                            mpi::contig(tdt.base), payload_off});
-      }
-      lo += len;
-      payload_off += len;
-      remaining -= len;
-    }
+    walk_items(
+        cw.bind, ti.node, base + static_cast<std::size_t>(b) * stride, block,
+        [&](std::size_t item, std::size_t lo, std::size_t len) {
+          MMPI_REQUIRE(len % es == 0 && lo % es == 0,
+                       "casper: segment boundary would split a basic element "
+                       "(misaligned displacement; see paper III.B.2)");
+          int slot = map[item];
+          if (flip) slot = slots - 1 - slot;
+          const int gw = ghost_of(ti.node, slot);
+          // Extend an existing sub-op for the same ghost if contiguous.
+          if (!out.empty() && out.back().ghost == gw &&
+              out.back().tdisp + static_cast<std::size_t>(out.back().tcount) *
+                                     out.back().tdt.elem_size() *
+                                     static_cast<std::size_t>(
+                                         out.back().tdt.blocklen) ==
+                  lo &&
+              out.back().tdt.contiguous() &&
+              out.back().payload_off +
+                      mpi::data_bytes(out.back().tcount, out.back().tdt) ==
+                  payload_off) {
+            out.back().tcount += static_cast<int>(len / es);
+          } else {
+            out.push_back(SubOp{gw, lo, static_cast<int>(len / es),
+                                mpi::contig(tdt.base), payload_off});
+          }
+          payload_off += len;
+        });
   }
 }
 
@@ -186,16 +170,6 @@ const std::vector<CasperLayer::SubOp>& CasperLayer::plan_lookup(
     CspWin& cw, OriginEp& ep, int origin, int target, std::size_t disp_bytes,
     int tcount, const Datatype& tdt) {
   PlanCache& pc = ep.plans;
-  if (cw.flip_fault) {
-    // Fault injection (tests only) makes the split origin-dependent; keep
-    // that path uncached so the fuzzer sees the raw resolution every time.
-    // Scoped to the flipped window: co-resident unfaulted windows keep
-    // their plan caches hot.
-    pc.scratch.clear();
-    resolve_static(cw, origin, target, disp_bytes, tcount, tdt, pc.scratch);
-    return pc.scratch;
-  }
-
   std::uint64_t h = 0x9e3779b97f4a7c15ull;
   auto mix = [&h](std::uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
@@ -238,7 +212,8 @@ const std::vector<CasperLayer::SubOp>& CasperLayer::plan_lookup(
   victim->tcount = tcount;
   victim->tdt = tdt;
   victim->subs.clear();
-  resolve_static(cw, origin, target, disp_bytes, tcount, tdt, victim->subs);
+  resolve(cw, cw.adapt.on ? ep.adapt.map : cw.bind.map, origin, target,
+          disp_bytes, tcount, tdt, victim->subs);
   return victim->subs;
 }
 
@@ -257,36 +232,21 @@ int CasperLayer::choose_dynamic_ghost(Env& env, CspWin& cw, int origin,
                                       int node) {
   const auto& ng = node_ghosts_[static_cast<std::size_t>(node)];
   auto& ep = cw.ep[static_cast<std::size_t>(origin)];
-  switch (effective_lb(cw, ep)) {
-    case DynamicLb::Random:
-      // Uniform random choice (per-rank deterministic stream). A plain
-      // per-origin round-robin would correlate with the target iteration
-      // order and can degenerate to a fixed target->ghost mapping.
-      return ng[env.ctx().rng().next_below(ng.size())];
-    case DynamicLb::OpCounting: {
-      int best = ng[0];
-      for (int g : ng) {
-        if (ep.ops_to_ghost[ghost_slot(g)] <
-            ep.ops_to_ghost[ghost_slot(best)]) {
-          best = g;
-        }
-      }
-      return best;
-    }
-    case DynamicLb::ByteCounting: {
-      int best = ng[0];
-      for (int g : ng) {
-        if (ep.bytes_to_ghost[ghost_slot(g)] <
-            ep.bytes_to_ghost[ghost_slot(best)]) {
-          best = g;
-        }
-      }
-      return best;
-    }
-    case DynamicLb::None:
-      break;
+  const DynamicLb lb = effective_lb(cw, ep);
+  if (lb == DynamicLb::Random) {
+    // Uniform random choice (per-rank deterministic stream). A plain
+    // per-origin round-robin would correlate with the target iteration
+    // order and can degenerate to a fixed target->ghost mapping.
+    return ng[env.ctx().rng().next_below(ng.size())];
   }
-  return ng[0];
+  if (lb == DynamicLb::None) return ng[0];
+  // Op or byte counting: the ghost this origin has sent the least; ties go
+  // to the first in node order.
+  const auto& sent =
+      lb == DynamicLb::OpCounting ? ep.ops_to_ghost : ep.bytes_to_ghost;
+  return *std::min_element(ng.begin(), ng.end(), [&](int a, int b) {
+    return sent[ghost_slot(a)] < sent[ghost_slot(b)];
+  });
 }
 
 // ------------------------------------------------------------------ rma ----

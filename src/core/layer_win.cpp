@@ -15,6 +15,12 @@ using mpi::Win;
 namespace {
 std::size_t align64(std::size_t v) { return (v + 63) & ~std::size_t{63}; }
 
+/// Round up to the maximum basic datatype size (16 bytes), so a binding
+/// boundary never splits a basic element (paper III.B.2).
+std::size_t align16(std::size_t v) {
+  return (v + mpi::kMaxBasicDtSize - 1) & ~(mpi::kMaxBasicDtSize - 1);
+}
+
 /// Bytes of a node's shared buffer: its users' segments, 64-byte aligned.
 template <class Place>
 std::size_t node_bytes(const std::vector<int>& users,
@@ -108,22 +114,36 @@ std::shared_ptr<CasperLayer::CspWin> CasperLayer::make_window_state(
   auto cw = std::make_shared<CspWin>();
   cw->epochs = epochs;
   cw->seq = seq;
-  cw->flip_fault = cfg_.fault.flip_segment_binding &&
-                   (cfg_.fault.flip_only_seq < 0 ||
-                    cfg_.fault.flip_only_seq == seq);
   cw->shm_by_node.resize(static_cast<std::size_t>(topo.nodes));
-
-  cw->node_total.reserve(node_users_.size());
-  for (const auto& users : node_users_) {
-    cw->node_total.push_back(node_bytes(users, places));
-  }
 
   const auto users = static_cast<std::size_t>(topo.nranks() - total_ghosts_);
   cw->tgt.resize(users);
   cw->ep.resize(users);
+  auto& bt = cw->bind;
+  bt.nodes.resize(static_cast<std::size_t>(topo.nodes));
+  bt.item_bytes.assign(static_cast<std::size_t>(topo.nodes), 0);
+  const std::size_t sub = static_cast<std::size_t>(
+      cfg_.adaptive.enabled ? std::max(1, cfg_.adaptive.subchunks) : 1);
   for (int node = 0; node < topo.nodes; ++node) {
     const auto& nu = node_users_[static_cast<std::size_t>(node)];
     const auto& ng = node_ghosts_[static_cast<std::size_t>(node)];
+    const std::size_t g = ng.size();
+    const int first = static_cast<int>(bt.map.size());
+    if (cfg_.binding == Binding::Segment) {
+      // Static segment binding: the node's buffer is divided into g
+      // 16B-aligned chunks, chunk i owned by ghost slot i (paper III.B.2).
+      // The controller moves `sub` pieces of a chunk independently; when
+      // the piece size divides the chunk the seed routes byte-for-byte
+      // like the whole chunks.
+      std::size_t chunk = align16((node_bytes(nu, places) + g - 1) / g);
+      if (chunk == 0) chunk = mpi::kMaxBasicDtSize;
+      std::size_t ib = align16((chunk + sub - 1) / sub);
+      if (ib == 0) ib = mpi::kMaxBasicDtSize;
+      bt.item_bytes[static_cast<std::size_t>(node)] = ib;
+      for (std::size_t i = 0; i < g * sub; ++i) {
+        bt.map.push_back(static_cast<int>(std::min(i * ib / chunk, g - 1)));
+      }
+    }
     for (std::size_t li = 0; li < nu.size(); ++li) {
       const int w = nu[li];
       auto& ti = cw->tgt[static_cast<std::size_t>(
@@ -135,19 +155,22 @@ std::shared_ptr<CasperLayer::CspWin> CasperLayer::make_window_state(
           static_cast<std::size_t>(places[static_cast<std::size_t>(w)].size);
       ti.disp_unit = du;
       ti.local_idx = static_cast<int>(li);
+      if (cfg_.binding == Binding::Segment) continue;
       // Static rank binding with NUMA awareness: bind to a ghost in the
       // user's NUMA domain when one exists, round-robin inside the domain.
+      std::vector<int> same_dom;
       if (cfg_.topology_aware && topo.numa_per_node > 1) {
-        std::vector<int> same_dom;
-        for (int g : ng) {
-          if (topo.numa_of(g) == topo.numa_of(w)) same_dom.push_back(g);
+        for (std::size_t s = 0; s < g; ++s) {
+          if (topo.numa_of(ng[s]) == topo.numa_of(w)) {
+            same_dom.push_back(static_cast<int>(s));
+          }
         }
-        const auto& cands = same_dom.empty() ? ng : same_dom;
-        ti.bound_ghost = cands[li % cands.size()];
-      } else {
-        ti.bound_ghost = ng[li % ng.size()];
       }
+      bt.map.push_back(same_dom.empty() ? static_cast<int>(li % g)
+                                        : same_dom[li % same_dom.size()]);
     }
+    bt.nodes[static_cast<std::size_t>(node)] = progress::AdaptNode{
+        first, static_cast<int>(bt.map.size()) - first, static_cast<int>(g)};
   }
   for (auto& ep : cw->ep) {
     ep.tl.resize(users);
@@ -307,7 +330,12 @@ Win CasperLayer::win_create(Env& env, void* base, std::size_t bytes,
 
 int CasperLayer::bound_ghost_of(const Win& user_win, int user_rank) {
   auto& cw = managed_checked(user_win, "bound_ghost_of");
-  return cw.tgt[static_cast<std::size_t>(user_rank)].bound_ghost;
+  MMPI_REQUIRE(cfg_.binding == Binding::Rank,
+               "casper: bound_ghost_of needs rank binding");
+  const auto& ti = cw.tgt[static_cast<std::size_t>(user_rank)];
+  const int slot = cw.bind.map[cw.bind.rank_item(ti)];
+  return node_ghosts_[static_cast<std::size_t>(ti.node)]
+                     [static_cast<std::size_t>(slot)];
 }
 
 int CasperLayer::internal_window_count(const Win& user_win) {

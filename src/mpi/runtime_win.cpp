@@ -68,17 +68,17 @@ Win Runtime::p_win_allocate(Env& env, std::size_t bytes,
           // order and cache-line aligned (so the 16-byte basic-datatype
           // alignment Casper's segment binding needs always holds).
           win->shm_offset.assign(static_cast<std::size_t>(n), 0);
-          std::map<int, std::size_t> node_total;
+          std::map<int, std::size_t> node_bytes;
           std::vector<int> node_of_cr(static_cast<std::size_t>(n));
           for (int cr = 0; cr < n; ++cr) {
             const int node = t.node_of(cm.world_rank(cr));
             node_of_cr[static_cast<std::size_t>(cr)] = node;
-            win->shm_offset[static_cast<std::size_t>(cr)] = node_total[node];
-            node_total[node] +=
+            win->shm_offset[static_cast<std::size_t>(cr)] = node_bytes[node];
+            node_bytes[node] +=
                 align_up(sizes[static_cast<std::size_t>(cr)]);
           }
           std::map<int, std::shared_ptr<std::vector<std::byte>>> bufs;
-          for (const auto& [node, total] : node_total) {
+          for (const auto& [node, total] : node_bytes) {
             bufs[node] = std::make_shared<std::vector<std::byte>>(
                 total, std::byte{0});
           }
@@ -140,7 +140,6 @@ void Runtime::p_win_free(Env& env, Win& win) {
   MMPI_REQUIRE(win != nullptr, "win_free on null window");
   const int me = win->comm()->rank_of_world(env.world_rank());
   const auto& my = win->ost[static_cast<std::size_t>(me)];
-  MMPI_REQUIRE(!my.fence_open || true, "unreachable");
   for (const auto& ts : my.tgt) {
     MMPI_REQUIRE(ts.lock_st == LockSt::None,
                  "win_free with an open passive epoch");

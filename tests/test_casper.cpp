@@ -447,4 +447,39 @@ TEST(CasperRma, StridedAccumulateThroughGhost) {
   }, core::layer(csp(1)));
 }
 
+// Regression: under the flip fault an odd origin's op that starts exactly
+// at the first byte of a chunk whose mirrored ghost slot lies below it once
+// got a 0-byte piece and looped forever, because the piece length came from
+// the mirrored slot's chunk. Pieces now end at the true item boundary; the
+// suite's ctest TIMEOUT turns a regression into a failure, not a hang.
+TEST(CasperFault, FlippedSegmentBindingEndsPiecesAtTrueItemBoundary) {
+  // One node, two users of 8 doubles each: 128 bytes in two 64-byte chunks,
+  // and user 1's displacement 0 is the first byte of chunk 1.
+  auto cc = csp(2, core::Binding::Segment);
+  cc.fault.flip_segment_binding = true;
+  double got = 0;
+  mpi::exec(cfg(1, 4),
+            [&](mpi::Env& env) {
+              Comm w = env.world();
+              const int me = env.rank(w);
+              void* base = nullptr;
+              Win win = env.win_allocate(8 * sizeof(double), sizeof(double),
+                                         Info{}, w, &base);
+              auto* mine = static_cast<double*>(base);
+              mine[0] = 1.0;
+              env.barrier(w);
+              if (me == 1) {
+                const double one = 1.0;
+                env.win_lock_all(0, win);
+                env.accumulate(&one, 1, 1, 0, AccOp::Sum, win);
+                env.win_unlock_all(win);
+                got = mine[0];
+              }
+              env.barrier(w);
+              env.win_free(win);
+            },
+            core::layer(cc));
+  EXPECT_EQ(got, 2.0);
+}
+
 }  // namespace

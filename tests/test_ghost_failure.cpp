@@ -21,7 +21,10 @@
 #include <vector>
 
 #include "check/fuzz.hpp"
+#include "core/layer_impl.hpp"
+#include "fault/plan.hpp"
 #include "mpi/datatype.hpp"
+#include "mpi/runtime.hpp"
 #include "net/topology.hpp"
 
 using namespace casper;
@@ -279,6 +282,54 @@ TEST(GhostFailure, KillUnderLossyNetworkOracleClean) {
     EXPECT_EQ(out.atomicity_violations, 0u);
     EXPECT_EQ(stat(out, "recovery.ghost_dead"), 1u);
   }
+}
+
+// The sequential rank-rebinding rule: each detected death moves every user
+// whose bound ghost died to alive[local_idx % |alive|], users that an
+// earlier death moved there included. Ghosts are world ranks 4..7 and start
+// bound round-robin (topology_aware off); the second kill hits the ghost
+// that replaced the first.
+TEST(GhostFailure, SecondKillRebindsTheFirstReplacement) {
+  mpi::RunConfig rc;
+  rc.machine.topo.nodes = 1;
+  rc.machine.topo.cores_per_node = 8;
+  fault::FaultPlan plan;
+  plan.kills = {{5, sim::us(500)}, {6, sim::us(1000)}};
+  plan.heartbeat_period = sim::us(2);
+  rc.fault = &plan;
+  core::Config cc;
+  cc.ghosts_per_node = 4;
+  cc.binding = core::Binding::Rank;
+  cc.topology_aware = false;
+
+  std::vector<std::vector<int>> bound;  // per check: ghost of users 0..3
+  mpi::exec(
+      rc,
+      [&](mpi::Env& env) {
+        mpi::Comm w = env.world();
+        void* base = nullptr;
+        mpi::Win win = env.win_allocate(64, 8, mpi::Info{}, w, &base);
+        auto& layer = dynamic_cast<core::CasperLayer&>(env.runtime().layer());
+        if (env.rank(w) == 0) {
+          for (const sim::Time at :
+               {sim::us(400), sim::us(700), sim::us(1200)}) {
+            ASSERT_LT(env.now(), at);
+            env.compute(at - env.now());
+            std::vector<int> b;
+            for (int u = 0; u < 4; ++u) {
+              b.push_back(layer.bound_ghost_of(win, u));
+            }
+            bound.push_back(b);
+          }
+        }
+        env.barrier(w);
+        env.win_free(win);
+      },
+      core::layer(cc));
+  ASSERT_EQ(bound.size(), 3u);
+  EXPECT_EQ(bound[0], (std::vector<int>{4, 5, 6, 7}));
+  EXPECT_EQ(bound[1], (std::vector<int>{4, 6, 6, 7}));  // 5 died: 1 % 3 -> 6
+  EXPECT_EQ(bound[2], (std::vector<int>{4, 7, 4, 7}));  // 6 died: 1, 2 % 2
 }
 
 }  // namespace
