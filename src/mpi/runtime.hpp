@@ -31,6 +31,7 @@
 #include "mpi/am.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/env.hpp"
+#include "mpi/inflight.hpp"
 #include "mpi/layer.hpp"
 #include "mpi/observe.hpp"
 #include "mpi/request.hpp"
@@ -375,8 +376,11 @@ class Runtime {
                   sim::PoolBuf&& data);
   /// Execute a self-targeted op synchronously (loads/stores, not delayed).
   void exec_self(Env& env, const AmOp& op);
-  void record_access(std::uintptr_t lo, std::uintptr_t hi, sim::Time t0,
-                     sim::Time t1, int entity, bool is_write);
+  /// The in-flight list of the node whose memory `op` targets.
+  InflightList& inflight_of(const AmOp& op) {
+    return inflight_[static_cast<std::size_t>(
+        topo().node_of(op.target_world))];
+  }
   void schedule_ack(const AmOp& op, sim::Time t_done, sim::PoolBuf&& data);
 
   // --- fault machinery (runtime_core.cpp; all paths require fs_) -----------
@@ -463,12 +467,13 @@ class Runtime {
   std::shared_ptr<Layer> layer_;
   Comm world_;
   std::vector<RankIo> io_;
-  /// Globally ordered in-flight software RMA accesses (absolute byte
-  /// ranges): overlapping windows alias memory, so violation detection must
-  /// work on addresses, not window coordinates. One list per shard: ranks of
-  /// one node live on one shard, and window memory belongs to a node, so
-  /// overlapping accesses always meet in the same shard's list.
-  std::vector<std::vector<InflightOp>> inflight_;
+  /// Landed software RMA accesses, one list per node, each in commit (t1)
+  /// order. Overlapping windows alias memory, so violation detection works
+  /// on absolute byte ranges, not window coordinates. Window memory belongs
+  /// to one node, so accesses that can alias always meet in its node's
+  /// list; a node never splits across shards, so each list is touched by
+  /// one shard thread and needs no lock.
+  std::vector<InflightList> inflight_;
   /// All windows ever created (weak): used for deadlock diagnostics.
   std::vector<std::weak_ptr<WinImpl>> win_registry_;
   void dump_comm_state() const;

@@ -83,20 +83,6 @@ struct WinOriginState {
   bool fence_open = false;
 };
 
-/// In-flight software operation record: a target-memory byte range being
-/// read-modify-written over a span of virtual time by some processing entity
-/// (a rank polling, a ghost process, or a progress agent). Two overlapping
-/// in-flight writes from *different* entities to the *same* bytes constitute
-/// an MPI atomicity/ordering violation — exactly the failure mode the paper's
-/// static binding exists to prevent. We detect and count them.
-struct InflightOp {
-  int entity = 0;  ///< processing entity id: world rank for pollers; agents
-                   ///< and NICs use offset id spaces (see Runtime)
-  std::uintptr_t lo = 0, hi = 0;  ///< absolute byte range [lo, hi)
-  sim::Time t0 = 0, t1 = 0;       ///< half-open processing interval [t0, t1)
-  bool is_write = true;
-};
-
 /// Shared window state (one instance per window, shared by all member ranks).
 class WinImpl {
  public:
