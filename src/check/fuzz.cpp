@@ -152,6 +152,8 @@ void issue_one(mpi::Env& env, const OpRec& op, const mpi::Win& win,
   }
 }
 
+}  // namespace
+
 void fuzz_body(mpi::Env& env, const FuzzCase& fc, RunOutcome& out) {
   mpi::Comm w = env.world();
   const int me = env.rank(w);
@@ -235,8 +237,6 @@ void fuzz_body(mpi::Env& env, const FuzzCase& fc, RunOutcome& out) {
   out.world_of[static_cast<std::size_t>(me)] = env.world_rank();
   env.win_free(win);
 }
-
-}  // namespace
 
 FuzzCase make_case(std::uint64_t seed, bool reduced) {
   sim::Rng rng(seed, 0xfa22);

@@ -143,6 +143,11 @@ struct RunOutcome {
 /// world ranks via out.world_of), and intersects its byte range.
 bool planted_flagged(const RunOutcome& out, const FuzzCase::PlantedRace& pr);
 
+/// One rank's program of the case: what run_case runs on every rank. Fills
+/// the rank's entries of `out.content_hash` and `out.world_of`, which the
+/// caller sizes to nusers().
+void fuzz_body(mpi::Env& env, const FuzzCase& fc, RunOutcome& out);
+
 /// Run the case once under schedule `perturb_seed` (0 = classic order).
 /// Bug::FlipSegmentBinding enables the deliberate segment→ghost binding bug.
 RunOutcome run_case(const FuzzCase& fc, std::uint64_t perturb_seed);

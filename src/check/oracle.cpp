@@ -5,6 +5,7 @@
 #include "mpi/check.hpp"
 #include "mpi/datatype.hpp"
 #include "mpi/win.hpp"
+#include "sim/engine.hpp"
 
 namespace casper::check {
 
@@ -43,7 +44,42 @@ std::byte* ShadowOracle::shadow_at(std::uintptr_t addr, std::size_t len) {
   return s.shadow.data() + (addr - s.lo);
 }
 
+template <class Where>
+std::size_t ShadowOracle::scan(sim::Time t, const Where& where) {
+  ++scans_;
+  dirty_ = false;
+  scan_stamp_ = sim::Engine::quiet_stamp();
+  std::size_t found = 0;
+  std::string text;  // built at the first differing span
+  for (auto& [lo, s] : spans_) {
+    const auto* real = reinterpret_cast<const std::byte*>(lo);
+    if (std::memcmp(real, s.shadow.data(), s.shadow.size()) == 0) continue;
+    if (found++ == 0) text = where();
+    Divergence d;
+    d.t = t;
+    d.where = text;
+    d.win_id = s.win_id;
+    for (std::size_t i = 0; i < s.shadow.size(); ++i) {
+      if (real[i] != s.shadow[i]) {
+        if (d.nbytes == 0) {
+          d.addr = lo + i;
+          d.span_off = i;
+          d.real = static_cast<std::uint8_t>(real[i]);
+          d.shadow = static_cast<std::uint8_t>(s.shadow[i]);
+        }
+        ++d.nbytes;
+      }
+    }
+    if (divs_.size() < kMaxRecorded) divs_.push_back(std::move(d));
+    // Re-sync so one corruption is reported once per sync point, not
+    // amplified into a divergence at every later validation.
+    std::memcpy(s.shadow.data(), real, s.shadow.size());
+  }
+  return found;
+}
+
 void ShadowOracle::on_win_register(mpi::WinImpl& win) {
+  dirty_ = true;
   for (const auto& seg : win.segs) {
     if (seg.base == nullptr || seg.size == 0) continue;
     const auto lo = reinterpret_cast<std::uintptr_t>(seg.base);
@@ -55,6 +91,7 @@ void ShadowOracle::on_win_free(mpi::WinImpl& win) {
   // Keep the spans: Casper's internal windows alias the same buffers, and a
   // later window over recycled memory re-syncs on registration anyway.
   (void)win;
+  dirty_ = true;
 }
 
 void ShadowOracle::on_op_commit(const mpi::AmOp& op, sim::Time t,
@@ -64,6 +101,7 @@ void ShadowOracle::on_op_commit(const mpi::AmOp& op, sim::Time t,
   ++commits_;
   using mpi::OpKind;
   if (op.kind == OpKind::Get) return;  // reads never move the shadow
+  dirty_ = true;
 
   const mpi::Segment& seg =
       op.win->segs[static_cast<std::size_t>(op.target_comm_rank)];
@@ -106,9 +144,16 @@ void ShadowOracle::on_sync(mpi::WinImpl& win, int world_rank,
                            mpi::SyncKind kind, int target, sim::Time t) {
   (void)target;
   ++syncs_;
-  validate(t, std::string(mpi::to_string(kind)) + " on win " +
-                  std::to_string(win.id()) + " by world rank " +
-                  std::to_string(world_rank));
+  ++validations_;
+  // Nothing observed wrote and nothing but this rank's library code ran
+  // since the last scan (oracle.hpp): that scan's answer still holds.
+  const std::uint64_t stamp = sim::Engine::quiet_stamp();
+  if (!dirty_ && stamp != 0 && stamp == scan_stamp_) return;
+  scan(t, [&] {
+    return std::string(mpi::to_string(kind)) + " on win " +
+           std::to_string(win.id()) + " by world rank " +
+           std::to_string(world_rank);
+  });
 }
 
 void ShadowOracle::on_local_access(mpi::WinImpl& win, int comm_rank,
@@ -116,6 +161,7 @@ void ShadowOracle::on_local_access(mpi::WinImpl& win, int comm_rank,
                                    bool is_store, sim::Time t) {
   (void)t;
   if (!is_store) return;
+  dirty_ = true;
   const mpi::Segment& seg = win.segs[static_cast<std::size_t>(comm_rank)];
   const auto addr = reinterpret_cast<std::uintptr_t>(seg.base) + offset;
   std::byte* sh = shadow_at(addr, len);
@@ -127,32 +173,7 @@ void ShadowOracle::on_local_access(mpi::WinImpl& win, int comm_rank,
 
 std::size_t ShadowOracle::validate(sim::Time t, const std::string& where) {
   ++validations_;
-  std::size_t found = 0;
-  for (auto& [lo, s] : spans_) {
-    const auto* real = reinterpret_cast<const std::byte*>(lo);
-    if (std::memcmp(real, s.shadow.data(), s.shadow.size()) == 0) continue;
-    ++found;
-    Divergence d;
-    d.t = t;
-    d.where = where;
-    d.win_id = s.win_id;
-    for (std::size_t i = 0; i < s.shadow.size(); ++i) {
-      if (real[i] != s.shadow[i]) {
-        if (d.nbytes == 0) {
-          d.addr = lo + i;
-          d.span_off = i;
-          d.real = static_cast<std::uint8_t>(real[i]);
-          d.shadow = static_cast<std::uint8_t>(s.shadow[i]);
-        }
-        ++d.nbytes;
-      }
-    }
-    if (divs_.size() < kMaxRecorded) divs_.push_back(std::move(d));
-    // Re-sync so one corruption is reported once per sync point, not
-    // amplified into a divergence at every later validation.
-    std::memcpy(s.shadow.data(), real, s.shadow.size());
-  }
-  return found;
+  return scan(t, [&] { return where; });
 }
 
 std::uint64_t ShadowOracle::bytes_tracked() const {
@@ -170,6 +191,9 @@ void ShadowOracle::reset() {
   commits_ = 0;
   syncs_ = 0;
   validations_ = 0;
+  scans_ = 0;
+  dirty_ = true;
+  scan_stamp_ = 0;
 }
 
 }  // namespace casper::check

@@ -23,6 +23,23 @@
 // processing entities is precisely the atomicity/ordering hazard the paper's
 // static binding exists to prevent (Section III.B) — i.e. the oracle
 // diverges exactly when MPI semantics were violated.
+//
+// Sync points and skipped scans. The runtime reports every sync it performs,
+// on Casper's internal windows as well as on user windows, so one user flush
+// under Casper reaches on_sync twice: once for the inner flush to the
+// target's ghosts and once for the user-level flush right after it. A sync
+// compares memory only when memory could have changed since the last scan:
+// when some observed write (a non-GET commit, a local store, a window
+// registration or free) set the dirty flag, or when the engine's quiet stamp
+// (sim::Engine::quiet_stamp) moved. The stamp rises at every scheduling
+// decision, at every Env call entry and when a user main returns, so an
+// unchanged stamp proves that only the calling rank's own library code ran
+// since the last scan. Library code writes window memory only through the
+// runtime's commit (land), self execution (exec_self) and Env::local_store,
+// all observed above, and the last scan re-synced every divergence it found;
+// so the skipped compare could not have found anything. Off a rank fiber
+// the stamp is 0 and every sync scans. validations() counts every sync
+// answered, scans() the full compares.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +77,9 @@ class ShadowOracle final : public mpi::RmaObserver {
   void on_local_access(mpi::WinImpl& win, int comm_rank, std::size_t offset,
                        std::size_t len, bool is_store, sim::Time t) override;
 
-  /// Compare every registered byte against its shadow; returns the number of
-  /// NEW divergences found (also appended to divergences(), capped).
+  /// Compare every registered byte against its shadow, always (no skip);
+  /// returns the number of NEW divergences found (also appended to
+  /// divergences(), capped).
   std::size_t validate(sim::Time t, const std::string& where);
 
   const std::vector<Divergence>& divergences() const { return divs_; }
@@ -69,7 +87,10 @@ class ShadowOracle final : public mpi::RmaObserver {
 
   std::uint64_t commits_seen() const { return commits_; }
   std::uint64_t syncs_seen() const { return syncs_; }
+  /// Sync points answered (every on_sync, every validate()).
   std::uint64_t validations() const { return validations_; }
+  /// Full compares of every registered byte (at most validations()).
+  std::uint64_t scans() const { return scans_; }
   std::uint64_t bytes_tracked() const;
 
   /// Drop all spans and recorded divergences (reuse across runs).
@@ -95,11 +116,21 @@ class ShadowOracle final : public mpi::RmaObserver {
   /// fully inside one registered span.
   std::byte* shadow_at(std::uintptr_t addr, std::size_t len);
 
+  /// The full compare behind validate() and on_sync(). `where()` builds the
+  /// divergence text, called only when a span differs.
+  template <class Where>
+  std::size_t scan(sim::Time t, const Where& where);
+
   std::map<std::uintptr_t, Span> spans_;  // keyed by Span::lo
   std::vector<Divergence> divs_;
   std::uint64_t commits_ = 0;
   std::uint64_t syncs_ = 0;
   std::uint64_t validations_ = 0;
+  std::uint64_t scans_ = 0;
+  /// Some observed write may have moved memory since the last scan.
+  bool dirty_ = true;
+  /// sim::Engine::quiet_stamp() at the last scan (0: none comparable).
+  std::uint64_t scan_stamp_ = 0;
 
   static constexpr std::size_t kMaxRecorded = 32;
 };

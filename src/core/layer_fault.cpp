@@ -3,9 +3,10 @@
 // later and invokes the handler registered here. Recovery has three tiers:
 //
 //   1. surviving ghosts on the node absorb the dead ghost's load — rank
-//      items of the window's binding table rebind, every other item whose
-//      ghost died is served by ghost_of's pure survivor fallback, and every
-//      cached split plan is invalidated;
+//      items of the window's binding table rebind (a window registered
+//      later replays the death), every other item whose ghost died is
+//      served by ghost_of's pure survivor fallback, and every cached split
+//      plan is invalidated;
 //   2. while retransmissions are still addressed to the dead ghost, the
 //      runtime forwards them to a live successor precomputed below, so
 //      read-modify-writes stay serialized through one live entity;
@@ -70,25 +71,14 @@ void CasperLayer::on_ghost_death(int world_rank, sim::Time t) {
               alive.end());
   ++rt_->stats().counter("recovery.ghost_dead");
 
-  // Rebind every managed window: in the shared map, each rank item (one
-  // per node-local user) whose ghost died moves to alive[local_idx %
-  // |alive|], and all cached split plans become stale (segment items and
-  // adaptive replicas route through ghost_of's survivor fallback instead).
-  const auto& ng = node_ghosts_[static_cast<std::size_t>(node)];
-  const bool rebind = cfg_.binding == Binding::Rank && !alive.empty();
+  // Rebind every managed window (rebind_rank_items), and all cached split
+  // plans become stale (segment items and adaptive replicas route through
+  // ghost_of's survivor fallback instead). Windows registered later replay
+  // this death in replay_deaths.
   std::uint64_t rebound = 0;
   for (auto& [impl, cwp] : winmap_) {
-    CspWin& cw = *cwp;
-    const auto& nd = cw.bind.nodes[static_cast<std::size_t>(node)];
-    for (int li = 0; rebind && li < nd.count; ++li) {
-      int& slot = cw.bind.map[static_cast<std::size_t>(nd.first + li)];
-      if (ng[static_cast<std::size_t>(slot)] != world_rank) continue;
-      const int gw = alive[static_cast<std::size_t>(li) % alive.size()];
-      slot = static_cast<int>(std::find(ng.begin(), ng.end(), gw) -
-                              ng.begin());
-      ++rebound;
-    }
-    for (auto& ep : cw.ep) ++ep.plans.gen;
+    rebound += rebind_rank_items(*cwp, node, world_rank, alive);
+    for (auto& ep : cwp->ep) ++ep.plans.gen;
   }
   rt_->stats().counter("recovery.rebound_targets") += rebound;
 
@@ -107,6 +97,42 @@ void CasperLayer::on_ghost_death(int world_rank, sim::Time t) {
                        static_cast<std::uint64_t>(alive.size()),
                        static_cast<std::uint64_t>(
                            node_degraded_[static_cast<std::size_t>(node)]));
+  }
+}
+
+std::uint64_t CasperLayer::rebind_rank_items(
+    CspWin& cw, int node, int dead, const std::vector<int>& alive) const {
+  // In the shared map, each rank item (one per node-local user) whose ghost
+  // died moves to alive[local_idx % |alive|].
+  if (cfg_.binding != Binding::Rank || alive.empty()) return 0;
+  const auto& ng = node_ghosts_[static_cast<std::size_t>(node)];
+  const auto& nd = cw.bind.nodes[static_cast<std::size_t>(node)];
+  std::uint64_t rebound = 0;
+  for (int li = 0; li < nd.count; ++li) {
+    int& slot = cw.bind.map[static_cast<std::size_t>(nd.first + li)];
+    if (ng[static_cast<std::size_t>(slot)] != dead) continue;
+    const int gw = alive[static_cast<std::size_t>(li) % alive.size()];
+    slot = static_cast<int>(std::find(ng.begin(), ng.end(), gw) - ng.begin());
+    ++rebound;
+  }
+  return rebound;
+}
+
+void CasperLayer::replay_deaths(CspWin& cw) const {
+  if (!any_ghost_dead_) return;
+  std::vector<int> dead(death_seq_);  // world rank by death order
+  for (std::size_t g = 0; g < ghost_death_seq_.size(); ++g) {
+    if (ghost_death_seq_[g] != 0) {
+      dead[ghost_death_seq_[g] - 1] = static_cast<int>(g);
+    }
+  }
+  // Each node's alive set as it stood right after each death.
+  std::vector<std::vector<int>> alive = node_ghosts_;
+  for (const int g : dead) {
+    const int node = rt_->topo().node_of(g);
+    auto& a = alive[static_cast<std::size_t>(node)];
+    a.erase(std::remove(a.begin(), a.end(), g), a.end());
+    rebind_rank_items(cw, node, g, a);
   }
 }
 

@@ -410,6 +410,16 @@ class CasperLayer final : public mpi::Layer {
   /// sets, rebinds its targets onto survivors, invalidates cached plans, and
   /// flips the node into degraded (no-redirect) mode when it was the last.
   void on_ghost_death(int world_rank, sim::Time t);
+  /// The sequential rank rule for one death: every rank item of `cw` on
+  /// `node` bound to dead ghost `dead` moves to alive[local_idx % |alive|],
+  /// `alive` being the node's survivors right after that death. Returns the
+  /// items moved (0 under segment binding or with no survivor).
+  std::uint64_t rebind_rank_items(CspWin& cw, int node, int dead,
+                                  const std::vector<int>& alive) const;
+  /// Apply every death detected so far to a window entering winmap_, in
+  /// death order, exactly as on_ghost_death applied each one to the windows
+  /// registered before it.
+  void replay_deaths(CspWin& cw) const;
   /// True when fence-epoch ops on `cw` to targets on `node` must go direct
   /// to user memory: the node's total ghost loss was latched at a fence.
   bool fence_direct(const CspWin& cw, int node) const;

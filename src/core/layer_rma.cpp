@@ -102,12 +102,11 @@ void CasperLayer::resolve(const CspWin& cw, const std::vector<int>& map,
   const std::size_t base = ti.offset + disp_bytes;  // node-buffer frame
 
   if (cfg_.binding == Binding::Rank) {
-    // on_ghost_death rebinds the shared map's rank items, so a static item
-    // still naming a dead ghost belongs to a window that missed that
-    // rebinding (built while or after the ghost died): its ops go to the
-    // dead ghost and the runtime forwards them to the precomputed
-    // successor. Adaptive replicas are never rebound and take ghost_of's
-    // fallback.
+    // on_ghost_death rebinds the shared map's rank items of every
+    // registered window, and a window registered after a death replays it
+    // (replay_deaths), so a static item names a dead ghost only while no
+    // ghost of its node survives. Adaptive replicas are never rebound and
+    // take ghost_of's fallback.
     const int slot = map[cw.bind.rank_item(ti)];
     const int gw =
         cw.adapt.on ? ghost_of(ti.node, slot)

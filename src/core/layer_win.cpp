@@ -101,6 +101,7 @@ Win CasperLayer::win_allocate(Env& env, std::size_t bytes, std::size_t du,
   auto lk = registry_lock();
   if (cw->user_win == nullptr) {
     cw->user_win = uw;
+    replay_deaths(*cw);
     winmap_[uw.get()] = cw;
     ++rt_->stats().counter("casper_managed_windows");
   }

@@ -44,8 +44,10 @@ class WinImpl;
 /// local load/store). -DCASPER_RACE=0 turns every such site into `if (false)`.
 inline constexpr bool kRaceObsCompiled = CASPER_RACE != 0;
 
-/// Which synchronization primitive completed (from the caller's view; the
-/// Casper layer reports the *user-facing* call, not its internal translation).
+/// Which synchronization primitive completed. Under Casper one user call is
+/// reported more than once: the runtime reports every sync it performs on an
+/// internal window (e.g. the flush to the target's ghosts), and the layer
+/// then reports the user-facing call on the user window.
 enum class SyncKind {
   Fence,
   Unlock,
@@ -55,6 +57,8 @@ enum class SyncKind {
   Complete,
   Wait,
 };
+inline constexpr std::size_t kSyncKinds =
+    static_cast<std::size_t>(SyncKind::Wait) + 1;
 
 inline const char* to_string(SyncKind k) {
   switch (k) {
@@ -106,9 +110,10 @@ class RmaObserver {
   /// or the serving agent / ghost).
   virtual void on_op_commit(const AmOp& op, sim::Time t, int entity) = 0;
 
-  /// World rank `world_rank` completed synchronization `kind` on `win`.
-  /// `target` is the comm rank the sync addressed (Unlock, Flush) or -1 for
-  /// whole-window synchronizations.
+  /// World rank `world_rank` completed synchronization `kind` on `win` (an
+  /// internal window as well as a user window; see SyncKind). `target` is
+  /// the comm rank the sync addressed (Unlock, Flush) or -1 for whole-window
+  /// synchronizations.
   virtual void on_sync(WinImpl& win, int world_rank, SyncKind kind, int target,
                        sim::Time t) = 0;
 

@@ -20,6 +20,7 @@
 //    (the corruption mode Casper's static binding exists to prevent).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -442,6 +443,9 @@ class Runtime {
     std::uint64_t* am_prompt = nullptr;
     std::uint64_t* interrupts = nullptr;
     std::uint64_t* atomicity_violations = nullptr;
+    /// "sync.<kind>" by SyncKind, looked up at the kind's first traced sync
+    /// so an untraced run or an unused kind creates no counter.
+    std::array<std::uint64_t*, kSyncKinds> sync{};
   };
   HotStats& hot() {
     return hot_[static_cast<std::size_t>(sim::Engine::current_shard())];

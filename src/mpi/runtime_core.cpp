@@ -255,6 +255,7 @@ void Runtime::run() {
 }
 
 void Runtime::call_prologue(Env& env) {
+  engine_->bump_quiet_stamp();  // user code may have run since the last call
   if (cfg_.progress.kind == progress::Kind::Thread) {
     env.ctx().advance(profile().thread_call_overhead);
   }
@@ -263,6 +264,7 @@ void Runtime::call_prologue(Env& env) {
 void Runtime::p_rank_main(Env& env,
                           const std::function<void(Env&)>& user_main) {
   user_main(env);
+  engine_->bump_quiet_stamp();  // user code ran since its last library call
   p_barrier(env, world_);  // finalize handshake
 }
 
@@ -1053,7 +1055,12 @@ void Runtime::observe_sync(WinImpl& win, int world_rank, SyncKind kind,
     recorder()->trace().instant(world_rank, obs::Ev::EpochEnd, t,
                               static_cast<std::uint64_t>(kind),
                               static_cast<std::uint64_t>(win.id()));
-    ++recorder()->metrics().counter(std::string("sync.") + to_string(kind));
+    std::uint64_t*& c = hot().sync[static_cast<std::size_t>(kind)];
+    if (c == nullptr) {
+      c = &recorder()->metrics().counter(std::string("sync.") +
+                                         to_string(kind));
+    }
+    ++*c;
   }
 }
 

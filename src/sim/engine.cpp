@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +17,9 @@ thread_local Context* g_current_ctx = nullptr;
 // Shard id of the scheduler running on this thread. 0 outside run();
 // shard_main() sets it while it drives a shard.
 thread_local int g_shard_id = 0;
+// Quiet-stamp blocks handed out so far: each shard counts up from its own
+// 2^40 block, so stamps of different shards and engines never coincide.
+std::atomic<std::uint64_t> g_quiet_blocks{0};
 }  // namespace
 
 // ---------------------------------------------------------------- Context --
@@ -51,6 +55,8 @@ Engine::Engine(Options opts, RankMain main)
   for (int s = 0; s < S; ++s) {
     shards_.push_back(std::make_unique<ShardState>());
     shards_.back()->id = s;
+    shards_.back()->quiet =
+        (g_quiet_blocks.fetch_add(1, std::memory_order_relaxed) + 1) << 40;
     shards_.back()->outbox.resize(static_cast<std::size_t>(S));
   }
   for (int r = 0; r < opts_.nranks; ++r) {
@@ -69,6 +75,11 @@ Engine::~Engine() = default;  // RankState::fiber releases each stack
 Time Engine::rank_now(int rank) const { return ranks_[rank]->now; }
 
 int Engine::current_shard() { return g_shard_id; }
+
+std::uint64_t Engine::quiet_stamp() {
+  if (g_current_ctx == nullptr) return 0;
+  return g_current_ctx->engine().cur_shard().quiet;
+}
 
 Engine::ShardState& Engine::cur_shard() {
   return *shards_[static_cast<std::size_t>(g_shard_id)];

@@ -227,6 +227,17 @@ class Engine {
   /// Shard id of the calling thread (0 when single-sharded or off-engine).
   static int current_shard();
 
+  /// Quiet stamp of the calling rank fiber's shard: a counter that every
+  /// scheduling decision on the shard and every bump_quiet_stamp() raises.
+  /// Two equal readings on one rank fiber prove that only that fiber ran in
+  /// between, without a decision or a library-call entry. Stamps of
+  /// different engines and shards never coincide. 0 off a rank fiber,
+  /// which no stamp ever equals.
+  static std::uint64_t quiet_stamp();
+  /// Raise the calling shard's quiet stamp (a library call entry, or the
+  /// return of a user main: user code may have run since the last reading).
+  void bump_quiet_stamp() { ++cur_shard().quiet; }
+
   /// Shrink the conservative lookahead (no-op if `la` is not smaller). The
   /// runtime calls this when a communicator whose collective-release floor
   /// is below the current lookahead comes into existence; takes effect at
@@ -532,6 +543,8 @@ class Engine {
     /// one); nested posts from a callback attribute to this rank so their
     /// canonical keys are functions of the simulation, not the shard map.
     std::int32_t exec_home = -1;
+    /// Quiet stamp (quiet_stamp()), counting up from this shard's own block.
+    std::uint64_t quiet = 0;
     Time horizon = 0;
     int done = 0;
     StackPool stacks;
@@ -560,8 +573,9 @@ class Engine {
 
   void shard_main(ShardState& sh);
   void execute_window(ShardState& sh);
-  /// Record one scheduling decision (trace sink and observer).
+  /// Record one scheduling decision (quiet stamp, trace sink, observer).
   void note_decision(ShardState& sh, Time t, int rank) {
+    ++sh.quiet;
     if (sched_trace_) sh.trace.push_back(SchedRecord{t, rank});
     if (sched_obs_) sched_obs_->on_schedule(t, rank);
   }

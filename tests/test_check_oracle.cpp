@@ -12,8 +12,12 @@
 #include "check/kvfuzz.hpp"
 #include "check/mwfuzz.hpp"
 #include "check/oracle.hpp"
+#include "core/casper.hpp"
+#include "kv/kv.hpp"
+#include "kv/traffic.hpp"
 #include "mpi/runtime.hpp"
 #include "net/profile.hpp"
+#include "sim/engine.hpp"
 
 using namespace casper;
 
@@ -85,6 +89,251 @@ TEST(ShadowOracle, DetectsOutOfBandCorruption) {
   ASSERT_FALSE(oracle.clean());
   EXPECT_EQ(oracle.divergences()[0].nbytes, 1u);
   EXPECT_EQ(oracle.divergences()[0].span_off % 64, 8u);
+}
+
+namespace {
+
+/// The oracle without its skip, as a reference: the same shadow copy, but
+/// every sync point runs the explicit full scan (ShadowOracle::validate)
+/// with the text on_sync would give it.
+class ScanEverySync final : public mpi::RmaObserver {
+ public:
+  void on_win_register(mpi::WinImpl& win) override {
+    ref.on_win_register(win);
+  }
+  void on_win_free(mpi::WinImpl& win) override { ref.on_win_free(win); }
+  void on_op_commit(const mpi::AmOp& op, sim::Time t, int entity) override {
+    ref.on_op_commit(op, t, entity);
+  }
+  void on_sync(mpi::WinImpl& win, int world_rank, mpi::SyncKind kind, int,
+               sim::Time t) override {
+    ref.validate(t, std::string(mpi::to_string(kind)) + " on win " +
+                        std::to_string(win.id()) + " by world rank " +
+                        std::to_string(world_rank));
+  }
+  void on_local_access(mpi::WinImpl& win, int comm_rank, std::size_t offset,
+                       std::size_t len, bool is_store, sim::Time t) override {
+    ref.on_local_access(win, comm_rank, offset, len, is_store, t);
+  }
+
+  check::ShadowOracle ref;
+};
+
+/// The oracle answered every sync point the reference did, with the same
+/// divergences.
+void expect_same_verdicts(const check::ShadowOracle& o,
+                          const ScanEverySync& r) {
+  EXPECT_EQ(o.validations(), r.ref.validations());
+  EXPECT_EQ(r.ref.scans(), r.ref.validations());
+  EXPECT_LE(o.scans(), o.validations());
+  ASSERT_EQ(o.divergences().size(), r.ref.divergences().size());
+  for (std::size_t i = 0; i < o.divergences().size(); ++i) {
+    const check::Divergence& a = o.divergences()[i];
+    const check::Divergence& b = r.ref.divergences()[i];
+    EXPECT_EQ(a.t, b.t) << i;
+    EXPECT_EQ(a.where, b.where) << i;
+    EXPECT_EQ(a.addr, b.addr) << i;
+    EXPECT_EQ(a.nbytes, b.nbytes) << i;
+  }
+}
+
+/// One node of `cores` ranks, `ghosts` of them Casper ghosts (0: original
+/// MPI), rank binding in node order.
+struct Machine {
+  mpi::RunConfig rc;
+  mpi::LayerFactory layer;
+};
+Machine machine(int cores, int ghosts) {
+  Machine m{small_rc(1, cores), nullptr};
+  if (ghosts > 0) {
+    core::Config cc;
+    cc.ghosts_per_node = ghosts;
+    cc.binding = core::Binding::Rank;
+    cc.topology_aware = false;
+    m.layer = core::layer(cc);
+  }
+  return m;
+}
+
+/// User 0 puts one double to user 1 and flushes; nothing else syncs
+/// between window creation and free.
+void put_then_flush(mpi::Env& env) {
+  mpi::Comm w = env.world();
+  void* base = nullptr;
+  mpi::Win win = env.win_allocate(64, 8, mpi::Info{}, w, &base);
+  if (env.rank(w) == 0) {
+    env.win_lock(mpi::LockType::Shared, 1, 0, win);
+    const double v = 2.5;
+    env.put(&v, 1, mpi::contig(mpi::Dt::Double), 1, 0, 1,
+            mpi::contig(mpi::Dt::Double), win);
+    env.win_flush(1, win);
+    env.win_unlock(1, win);
+  }
+  env.barrier(w);
+  env.win_free(win);
+}
+
+}  // namespace
+
+// Under Casper a user flush is reported once per inner flush to the
+// target's ghosts and once more for the user-level call; the outer report
+// follows the inner one with nothing in between, so it needs no scan. In
+// original mode every sync is its own Env call, so every sync scans.
+TEST(ShadowOracle, CasperFlushSkipsOnlyTheProvablyQuietScan) {
+  for (const int ghosts : {0, 1}) {
+    SCOPED_TRACE("ghosts " + std::to_string(ghosts));
+    const Machine m = machine(2 + ghosts, ghosts);
+    check::ShadowOracle oracle;
+    ScanEverySync ref;
+    mpi::Runtime rt(m.rc, put_then_flush, m.layer);
+    rt.add_observer(&oracle);
+    rt.add_observer(&ref);
+    rt.run();
+    EXPECT_TRUE(oracle.clean());
+    expect_same_verdicts(oracle, ref);
+    if (ghosts == 0) {
+      EXPECT_EQ(oracle.scans(), oracle.validations());
+    } else {
+      EXPECT_LT(oracle.scans(), oracle.validations());
+    }
+  }
+}
+
+// A small Casper KV run (locks, FAO/CAS, flushes, unlocks): every verdict of
+// the skipping oracle equals the scan-every-sync reference.
+TEST(ShadowOracle, SkippingMatchesFullScansOnCasperKv) {
+  check::KvCase fc;
+  for (std::uint64_t seed = 1;; ++seed) {
+    fc = check::make_kv_case(seed, true);
+    if (fc.mode == check::ProgressMode::Casper) break;
+  }
+  check::ShadowOracle oracle;
+  ScanEverySync ref;
+  mpi::Runtime rt(
+      check::run_config(fc, 0),
+      [&fc](mpi::Env& env) {
+        kv::KvStore store(env, fc.store, env.world());
+        store.open();
+        kv::run_ops(env, store, fc.ops, fc.ops.size(), fc.traffic);
+        store.close();
+      },
+      check::layer_for(fc, check::casper_config(fc)));
+  rt.add_observer(&oracle);
+  rt.add_observer(&ref);
+  rt.run();
+  EXPECT_TRUE(oracle.clean());
+  EXPECT_GT(oracle.validations(), 0u);
+  EXPECT_LT(oracle.scans(), oracle.validations());
+  expect_same_verdicts(oracle, ref);
+}
+
+// A rank scribbles on its own window between two of its flushes with
+// nothing outstanding: no scheduling decision separates the two syncs, only
+// the second flush's Env entry, and that must make the second one scan.
+TEST(ShadowOracle, EnvEntryMakesTheNextSyncScan) {
+  std::uint64_t before = 0;
+  std::uint64_t after = 0;
+  const Machine m = machine(2, 0);
+  check::ShadowOracle oracle;
+  ScanEverySync ref;
+  mpi::Runtime rt(
+      m.rc,
+      [&](mpi::Env& env) {
+        mpi::Comm w = env.world();
+        void* base = nullptr;
+        mpi::Win win = env.win_allocate(64, 1, mpi::Info{}, w, &base);
+        env.win_lock_all(0, win);
+        if (env.rank(w) == 0) {
+          env.win_flush_all(win);
+          before = sim::Engine::quiet_stamp();
+          static_cast<unsigned char*>(base)[8] ^= 0xff;
+          env.win_flush_all(win);
+          after = sim::Engine::quiet_stamp();
+        }
+        env.win_unlock_all(win);
+        env.barrier(w);
+        env.win_free(win);
+      },
+      m.layer);
+  rt.add_observer(&oracle);
+  rt.add_observer(&ref);
+  rt.run();
+  EXPECT_EQ(after, before + 1) << "the flushes must be one Env entry apart";
+  ASSERT_EQ(oracle.divergences().size(), 1u);
+  EXPECT_EQ(oracle.divergences()[0].span_off % 64, 8u);
+  expect_same_verdicts(oracle, ref);
+}
+
+// User 1 scribbles on its window while user 0 is blocked inside ONE user
+// flush, between that flush's inner ghost flushes, and makes no Env call
+// meanwhile: only the scheduling decisions in between can make user 0's
+// next sync scan. Users 0..1, ghosts 2..3; user 1 is bound to ghost 3, so
+// the flush first completes the idle ghost 2, then waits for the GET at
+// ghost 3.
+TEST(ShadowOracle, SchedulingDecisionMakesTheNextSyncScan) {
+  sim::Time flush_begin = 0;
+  sim::Time flush_end = 0;
+  sim::Time scribbled = 0;
+  const Machine m = machine(4, 2);
+  check::ShadowOracle oracle;
+  ScanEverySync ref;
+  mpi::Runtime rt(
+      m.rc,
+      [&](mpi::Env& env) {
+        mpi::Comm w = env.world();
+        void* base = nullptr;
+        mpi::Win win = env.win_allocate(4096, 1, mpi::Info{}, w, &base);
+        if (env.rank(w) == 0) {
+          std::vector<std::byte> got(4096);
+          env.win_lock(mpi::LockType::Shared, 1, 0, win);
+          env.get(got.data(), 4096, mpi::contig(mpi::Dt::Byte), 1, 0, 4096,
+                  mpi::contig(mpi::Dt::Byte), win);
+          flush_begin = env.now();
+          env.win_flush(1, win);
+          flush_end = env.now();
+          env.win_unlock(1, win);
+        } else {
+          env.compute(sim::us(2));  // lands inside user 0's flush
+          static_cast<unsigned char*>(base)[8] ^= 0xff;
+          scribbled = env.now();
+          env.compute(sim::us(20));  // no Env call until user 0 is done
+        }
+        env.barrier(w);
+        env.win_free(win);
+      },
+      m.layer);
+  rt.add_observer(&oracle);
+  rt.add_observer(&ref);
+  rt.run();
+  EXPECT_LT(flush_begin, scribbled);
+  EXPECT_LT(scribbled, flush_end);
+  ASSERT_EQ(oracle.divergences().size(), 1u);
+  expect_same_verdicts(oracle, ref);
+}
+
+// The planted segment-binding flip at its proof seed: the skipping oracle
+// catches it with exactly the reference's divergences.
+TEST(ShadowOracle, PlantedBindingBugVerdictsMatchFullScans) {
+  check::FuzzCase fc = check::make_case(1, true);
+  ASSERT_EQ(fc.binding, core::Binding::Segment);
+  fc.bug = check::Bug::FlipSegmentBinding;
+  core::Config cc = check::casper_config(fc);
+  cc.adaptive.enabled = fc.adaptive;
+  cc.fault.flip_segment_binding = true;
+  check::RunOutcome out;
+  out.content_hash.assign(static_cast<std::size_t>(fc.nusers()), 0);
+  out.world_of.assign(static_cast<std::size_t>(fc.nusers()), -1);
+  check::ShadowOracle oracle;
+  ScanEverySync ref;
+  mpi::Runtime rt(
+      check::run_config(fc, check::perturb_for(1, 0)),
+      [&](mpi::Env& env) { check::fuzz_body(env, fc, out); },
+      check::layer_for(fc, cc));
+  rt.add_observer(&oracle);
+  rt.add_observer(&ref);
+  rt.run();
+  EXPECT_FALSE(oracle.clean());
+  expect_same_verdicts(oracle, ref);
 }
 
 // Generated cases are deterministic in the seed and structurally sane.

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "check/fuzz.hpp"
+#include "check/oracle.hpp"
 #include "core/layer_impl.hpp"
 #include "fault/plan.hpp"
 #include "mpi/datatype.hpp"
@@ -330,6 +331,60 @@ TEST(GhostFailure, SecondKillRebindsTheFirstReplacement) {
   EXPECT_EQ(bound[0], (std::vector<int>{4, 5, 6, 7}));
   EXPECT_EQ(bound[1], (std::vector<int>{4, 6, 6, 7}));  // 5 died: 1 % 3 -> 6
   EXPECT_EQ(bound[2], (std::vector<int>{4, 7, 4, 7}));  // 6 died: 1, 2 % 2
+}
+
+// A window allocated after a ghost's death binds its users as if it had
+// lived through the death: the registration replays the sequential rule, so
+// no rank-bound op is ever addressed to the dead ghost and none takes the
+// runtime's forwarding hop. One node, users 0..1, ghosts 2..3 bound
+// round-robin; ghost 2 (user 0's) dies long before the window exists.
+TEST(GhostFailure, WindowAllocatedAfterDeathBindsToSurvivors) {
+  mpi::RunConfig rc;
+  rc.machine.topo.nodes = 1;
+  rc.machine.topo.cores_per_node = 4;
+  fault::FaultPlan plan;
+  plan.kills = {{2, sim::us(10)}};
+  plan.heartbeat_period = sim::us(2);
+  rc.fault = &plan;
+  core::Config cc;
+  cc.ghosts_per_node = 2;
+  cc.binding = core::Binding::Rank;
+  cc.topology_aware = false;
+
+  std::vector<int> bound;  // ghost of users 0..1 in the new window
+  check::ShadowOracle oracle;
+  mpi::Runtime rt(
+      rc,
+      [&](mpi::Env& env) {
+        mpi::Comm w = env.world();
+        const int me = env.rank(w);
+        env.compute(sim::us(100) - env.now());  // death detected by now
+        void* base = nullptr;
+        mpi::Win win = env.win_allocate(64, 8, mpi::Info{}, w, &base);
+        auto& layer = dynamic_cast<core::CasperLayer&>(env.runtime().layer());
+        if (me == 0) {
+          for (int u = 0; u < 2; ++u) bound.push_back(layer.bound_ghost_of(win, u));
+        }
+        env.win_lock_all(0, win);
+        const double v = 1.0 + me;
+        for (int t = 0; t < 2; ++t) {
+          env.put(&v, 1, mpi::contig(mpi::Dt::Double), t, me, 1,
+                  mpi::contig(mpi::Dt::Double), win);
+          env.accumulate(&v, 1, mpi::contig(mpi::Dt::Double), t, 4, 1,
+                         mpi::contig(mpi::Dt::Double), mpi::AccOp::Sum, win);
+        }
+        env.win_unlock_all(win);
+        env.barrier(w);
+        env.win_free(win);
+      },
+      core::layer(cc));
+  rt.add_observer(&oracle);
+  rt.run();
+  EXPECT_EQ(rt.stats().counter_value("recovery.ghost_dead"), 1u);
+  EXPECT_EQ(bound, (std::vector<int>{3, 3}));
+  EXPECT_EQ(rt.stats().counter_value("fault.forwards"), 0u);
+  EXPECT_TRUE(oracle.clean());
+  EXPECT_GT(oracle.validations(), 0u);
 }
 
 }  // namespace
